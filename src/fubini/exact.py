@@ -20,6 +20,7 @@ pure, so everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -280,14 +281,105 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return Poly(quo), Poly(rem)
 
 
+# Canonicalisation works on integer coefficient lists (lowest power first,
+# no trailing zeros).  The Fraction coefficients of a Euclidean remainder
+# sequence over Q grow far beyond the size of its inputs; the primitive
+# remainder sequence over Z keeps every remainder content-free instead.
+
+
+def _primitive_part(ints: list[int]) -> list[int]:
+    """Divide out the gcd of the entries and make the leading entry positive."""
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    if content == 1:
+        return ints
+    return [c // content for c in ints]
+
+
+def _split_content(coeffs: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
+    """Write a nonzero polynomial as content * primitive integer list.
+
+    The integer list has coprime entries and a positive leading entry.
+    """
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    prim = _primitive_part(ints)
+    return Fraction(ints[-1], scale * prim[-1]), prim
+
+
+def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
+    """A nonzero integer multiple of (u mod v), trailing zeros trimmed.
+
+    Each step cancels the top term of the running remainder r with the
+    smallest integer multiples a*r - b*x^k*v, so the result differs from
+    the remainder over Q by an integer factor that the caller's primitive
+    part removes.  Requires deg u >= deg v >= 1.
+    """
+    lead = v[-1]
+    dv = len(v) - 1
+    r = list(u)
+    for k in range(len(u) - len(v), -1, -1):
+        top = r.pop()
+        if top:
+            g = math.gcd(top, lead)
+            a, b = lead // g, top // g
+            if a != 1:
+                r = [a * c for c in r]
+            for i in range(dv):
+                r[k + i] -= b * v[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _int_gcd(u: list[int], v: list[int]) -> list[int]:
+    """Primitive gcd of two primitive integer lists, by the primitive PRS.
+
+    The primitive polynomial remainder sequence (Knuth, TAOCP vol. 2
+    §4.6.1; Collins 1967) replaces each Euclidean remainder by the
+    primitive part of a pseudo-remainder.  Both inputs must be nonzero,
+    primitive and have positive leading entries; so has the result.
+    """
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _pseudo_remainder(u, v)
+        if not r:
+            return v
+        u, v = v, _primitive_part(r)
+    return [1]
+
+
+def _exact_quotient(u: list[int], v: list[int]) -> list[int]:
+    """u / v for integer lists when v divides u in Z[x]."""
+    if v == [1]:
+        return u
+    lead = v[-1]
+    dv = len(v) - 1
+    r = list(u)
+    quo = [0] * (len(u) - dv)
+    for k in range(len(quo) - 1, -1, -1):
+        c = r[k + dv] // lead
+        if c:
+            quo[k] = c
+            for i in range(dv):
+                r[k + i] -= c * v[i]
+    return quo
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (Euclidean algorithm over Q)."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading_coefficient())
+    """Monic greatest common divisor; zero only when both inputs are zero.
+
+    Computed over the integers by the primitive remainder sequence.
+    """
+    if a.is_zero() and b.is_zero():
+        return Poly()
+    if a.is_zero() or b.is_zero():
+        g = _split_content((a or b).coeffs)[1]
+    else:
+        g = _int_gcd(_split_content(a.coeffs)[1], _split_content(b.coeffs)[1])
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
 def _sign(x: Fraction) -> int:
@@ -511,6 +603,8 @@ class RatFunc:
     Canonical means: the denominator is monic and nonzero, numerator and
     denominator are coprime, and the zero function is 0/1.  Two RatFunc
     values are equal exactly when their canonical fields are equal.
+    Construction cancels the common factor on integer coefficient lists:
+    primitive gcd, then exact integer division.
     """
 
     __slots__ = ("num", "den")
@@ -523,15 +617,16 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly(), Poly([1])
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, _ = poly_divmod(num, g)
-                den, _ = poly_divmod(den, g)
-            lead = den.leading_coefficient()
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            # num/den = (cn/cd) * pn/pd with pn, pd primitive integer lists;
+            # dividing both by their primitive gcd leaves them coprime.
+            cn, pn = _split_content(num.coeffs)
+            cd, pd = _split_content(den.coeffs)
+            g = _int_gcd(pn, pd)
+            pn, pd = _exact_quotient(pn, g), _exact_quotient(pd, g)
+            lead = pd[-1]
+            scale = cn / (cd * lead)
+            num = Poly([scale * c for c in pn])
+            den = Poly([Fraction(c, lead) for c in pd])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -140,7 +140,7 @@ def _case_sort_key(params: dict):
 
 
 def _grid(bounds: Bounds) -> tuple[Fraction, ...]:
-    return SAMPLE_GRID[: max(bounds.samples, 1)]
+    return SAMPLE_GRID[: bounds.samples]
 
 
 def _values_equal(lhs, rhs) -> bool:
@@ -1130,6 +1130,11 @@ def _apply_overrides(bounds: Bounds, overrides: Optional[dict]) -> Bounds:
     unknown = set(valid) - {f.name for f in dataclasses.fields(Bounds)}
     if unknown:
         raise ValueError(f"unknown bound overrides: {sorted(unknown)}")
+    samples = valid.get("samples", bounds.samples)
+    if not 1 <= samples <= len(SAMPLE_GRID):
+        raise ValueError(
+            f"samples must be between 1 and {len(SAMPLE_GRID)}, got {samples}"
+        )
     return dataclasses.replace(bounds, **valid)
 
 
@@ -1138,7 +1143,11 @@ def verify(
     profile: str = "full",
     overrides: Optional[dict] = None,
 ) -> list[IdentityReport]:
-    """Run one identity over its parameter grid; reports in sorted order."""
+    """Run one identity over its parameter grid; reports in sorted order.
+
+    Raises ValueError when the bounds select no case, so that a run can
+    never pass without checking anything.
+    """
     if identity_id not in REGISTRY:
         raise KeyError(identity_id)
     if profile not in PROFILES:
@@ -1147,8 +1156,11 @@ def verify(
     bounds = _apply_overrides(
         entry.quick if profile == "quick" else entry.full, overrides
     )
+    cases = entry.cases(bounds)
+    if not cases:
+        raise ValueError(f"the bounds select no case of {identity_id}")
     reports = []
-    for params in sorted(entry.cases(bounds), key=_case_sort_key):
+    for params in sorted(cases, key=_case_sort_key):
         start = time.perf_counter_ns()
         check = entry.evaluate(params)
         status = _run_check(check)

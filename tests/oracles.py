@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by literal enumeration or by a
 classical algorithm that shares no code path with the library: set
 partitions are generated as explicit block structures, cycle counts come
 from itertools.permutations, binomials from Pascal's triangle, Bernoulli
-numbers from the Akiyama-Tanigawa scheme.
+numbers from the Akiyama-Tanigawa scheme, polynomial gcds from Euclid's
+algorithm over Q on plain coefficient lists.
 """
 
 from __future__ import annotations
@@ -90,3 +91,28 @@ def bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
     if n_max >= 1:
         out[1] = -out[1]
     return out
+
+
+def poly_gcd_euclid(a, b) -> tuple[Fraction, ...]:
+    """Monic gcd of two coefficient sequences (lowest power first) by
+    Euclid's algorithm over Q; ``()`` when both are zero."""
+
+    def trim(coeffs: list[Fraction]) -> list[Fraction]:
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs
+
+    a = trim([Fraction(c) for c in a])
+    b = trim([Fraction(c) for c in b])
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            factor = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for i, c in enumerate(b):
+                rem[shift + i] -= factor * c
+            trim(rem)
+        a, b = b, rem
+    if not a:
+        return ()
+    return tuple(c / a[-1] for c in a)

@@ -42,7 +42,7 @@ class TestConstruction:
             if n >= 1:
                 assert d == n
 
-    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.parametrize("n", range(1, 31))
     def test_fubini_route_agrees(self, n):
         assert apostol_via_fubini(n) == apostol_bernoulli(n)
 
@@ -50,7 +50,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             apostol_via_fubini(0)
 
-    @pytest.mark.parametrize("n", range(2, 21))
+    @pytest.mark.parametrize("n", range(2, 31))
     def test_alternating_route_agrees(self, n):
         assert apostol_alternating_form(n - 1) == apostol_bernoulli(n)
 

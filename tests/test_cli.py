@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through real subprocesses."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
+
+# sha256 of `verify-all --profile full --format json` with every elapsed_us
+# removed: pins each value, status and the case order of the full report.
+FULL_REPORT_SHA256 = "ed4ae7cdd87f314670fa99595cfdc7e0af6dffc7380373e25a5b837c59cb83dd"
 
 
 def run_cli(*args: str):
@@ -159,6 +166,27 @@ class TestVerifyCommands:
         assert doc["skipped"] > 0
         skipped = [r for r in doc["reports"] if r["status"] == "skipped-precondition"]
         assert all(r["params"]["y"] == "-1" for r in skipped)
+
+    def test_zero_case_run_is_usage_error(self):
+        code, out, err = run_cli("verify", "eq26_integral", "--n-max", "-5")
+        assert code == 2
+        assert out == ""
+        assert "no case" in err
+
+    @pytest.mark.parametrize("samples", ["0", "1000"])
+    def test_samples_out_of_range_is_usage_error(self, samples):
+        code, out, err = run_cli("verify", "ab_split", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "samples must be between 1 and 25" in err
+
+    def test_full_report_digest(self):
+        code, out, _ = run_cli("verify-all", "--profile", "full", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        for r in doc["reports"]:
+            del r["elapsed_us"]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == FULL_REPORT_SHA256
 
     def test_unknown_identity_is_usage_error(self):
         code, _, err = run_cli("verify", "eq_bogus")

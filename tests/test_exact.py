@@ -18,6 +18,7 @@ from fubini.exact import (
     poly_gcd,
     poly_str,
 )
+from oracles import poly_gcd_euclid
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -25,6 +26,10 @@ small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 def small_polys(max_degree=6):
     return st.lists(small_rationals, max_size=max_degree + 1).map(Poly)
+
+
+def nonzero_polys(max_degree=6):
+    return small_polys(max_degree).filter(bool)
 
 
 class TestRationalText:
@@ -120,6 +125,27 @@ class TestPoly:
             _, r = poly_divmod(p, g)
             assert r.is_zero()
 
+    @given(small_polys(4), small_polys(4), nonzero_polys(3))
+    def test_gcd_matches_euclid_over_q(self, a, b, h):
+        for x, y in ((a, b), (a * h, b * h), (-a, b * h)):
+            assert poly_gcd(x, y).coeffs == poly_gcd_euclid(x.coeffs, y.coeffs)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Poly(), Poly()),
+            (Poly(), Poly([Fraction(1, 3), 0, -2])),
+            (Poly([Fraction(-5, 2)]), Poly()),
+            (Poly([7]), Poly([1, 1])),
+            (Poly([1, 0, -1]), Poly([3, -3])),
+            (Poly([-2, 2]) ** 3, Poly([1, -1]) ** 2 * Poly([Fraction(1, 2), 5])),
+            (Poly([0, Fraction(-4, 9), Fraction(2, 3)]), Poly([0, 0, -6])),
+        ],
+    )
+    def test_gcd_edge_cases_match_euclid(self, a, b):
+        assert poly_gcd(a, b).coeffs == poly_gcd_euclid(a.coeffs, b.coeffs)
+        assert poly_gcd(b, a) == poly_gcd(a, b)
+
     def test_str_rendering(self):
         assert poly_str(Poly([0, 1, 2]), "y") == "2y^2 + y"
         assert poly_str(Poly(), "y") == "0"
@@ -185,6 +211,16 @@ class TestRatFunc:
         f = RatFunc(num, den)
         again = RatFunc(f.num, f.den)
         assert again == f
+
+    @given(small_polys(3), nonzero_polys(3), nonzero_polys(2))
+    def test_common_factor_cancels(self, a, b, h):
+        assert RatFunc(a * h, b * h) == RatFunc(a, b)
+
+    @given(small_polys(4), nonzero_polys(4))
+    def test_canonical_form_is_monic_and_coprime(self, num, den):
+        f = RatFunc(num, den)
+        assert f.den.leading_coefficient() == 1
+        assert poly_gcd(f.num, f.den) == 1
 
     def test_arithmetic_and_eval(self):
         f = RatFunc(Poly([1]), Poly([-1, 1]))

@@ -54,6 +54,12 @@ class TestCatalogContents:
         ids = [e.identity_id for e in rg.list_identities()]
         assert ids == sorted(ids)
 
+    def test_default_grids_select_cases(self):
+        for entry in rg.list_identities():
+            for bounds in (entry.quick, entry.full):
+                assert 1 <= bounds.samples <= len(rg.SAMPLE_GRID)
+                assert entry.cases(bounds), entry.identity_id
+
 
 class TestVerify:
     def test_eq26_full_grid_passes(self):
@@ -90,6 +96,15 @@ class TestVerify:
     def test_bound_overrides(self):
         reports = rg.verify("eq26_integral", overrides={"n_max": 5})
         assert len(reports) == 5
+
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="no case"):
+            rg.verify("eq26_integral", overrides={"n_max": -5})
+
+    @pytest.mark.parametrize("samples", [0, len(rg.SAMPLE_GRID) + 1])
+    def test_samples_outside_grid_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            rg.verify("ab_split", overrides={"samples": samples})
 
     def test_overrides_beyond_enumeration_cap_skip(self):
         reports = rg.verify("eq14_enumeration", overrides={"n_max": 12, "aux_max": 0})
