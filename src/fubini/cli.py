@@ -40,6 +40,21 @@ class UsageError(Exception):
     pass
 
 
+# The options each compute object reads.  Any other option given to it is
+# a usage error, so a flag is never silently ignored.
+COMPUTE_OPTIONS = {
+    "stirling1": ("n", "k"),
+    "stirling2": ("n", "k"),
+    "binomial": ("n", "k"),
+    "fubini-number": ("n",),
+    "fubini-poly": ("n", "at"),
+    "fubini-two-var": ("n",),
+    "bernoulli": ("n",),
+    "p-bernoulli": ("n", "p"),
+    "apostol": ("n", "at"),
+}
+
+
 def _require(args, *names: str) -> list:
     values = []
     for name in names:
@@ -105,6 +120,9 @@ def cmd_compute(args) -> int:
     obj = args.object
     fmt = args.format
     at: Optional[Fraction] = args.at
+    for name in ("k", "p", "at"):
+        if getattr(args, name) is not None and name not in COMPUTE_OPTIONS[obj]:
+            raise UsageError(f"--{name} does not apply to {obj}")
     if obj == "stirling1":
         (n, k) = _require(args, "n", "k")
         _emit_compute(obj, {"n": n, "k": k}, cb.stirling1_unsigned(n, k), fmt)
@@ -322,16 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="compute one value")
-    compute.add_argument(
-        "object",
-        choices=[
-            "stirling1", "stirling2", "binomial", "fubini-number", "fubini-poly",
-            "fubini-two-var", "bernoulli", "p-bernoulli", "apostol",
-        ],
-    )
+    compute.add_argument("object", choices=list(COMPUTE_OPTIONS))
     compute.add_argument("--n", type=int)
     compute.add_argument("--k", type=int)
-    compute.add_argument("--m", type=int)
     compute.add_argument("--p", type=int)
     compute.add_argument("--at", type=_rational, metavar="RAT",
                          help="evaluate at a rational point, e.g. -3/7")

@@ -1,18 +1,28 @@
 """Exact scalars, dense polynomials and canonical rational functions.
 
-Every value in this package is built from three representations:
+Every value in this package is built from these representations:
 
-* scalars are ``fractions.Fraction`` (arbitrary precision, always in
-  lowest terms, denominator >= 1, division by zero raises),
-* ``Poly`` is a dense univariate polynomial with exact coefficients,
-  stored lowest power first with trailing zeros trimmed; the zero
-  polynomial is the empty coefficient tuple and has degree -1,
-* ``BiPoly`` is a dense bivariate polynomial stored as a rectangular
-  grid ``c[i][j]`` of coefficients of ``x^i y^j`` with trailing all-zero
-  rows and columns trimmed,
+* scalars are ``int`` or ``fractions.Fraction`` (arbitrary precision,
+  always in lowest terms, denominator >= 1, division by zero raises);
+  anything inexact, such as a float, is rejected with ``TypeError``,
+* ``Poly`` is a dense univariate polynomial with rational coefficients,
+  stored as a tuple of integer ``numerators`` (lowest power first,
+  trailing zeros trimmed) over one positive integer ``denominator``,
+* ``BiPoly`` is a dense bivariate polynomial stored the same way: a
+  rectangular grid ``numerators[i][j]`` for the coefficient of
+  ``x^i y^j`` (trailing all-zero rows and columns trimmed) over one
+  positive integer ``denominator``,
 * ``RatFunc`` is a quotient of two ``Poly`` values kept in canonical
-  form: numerator and denominator coprime, denominator monic.  Equality
-  of canonical forms is plain structural comparison.
+  form: numerator and denominator coprime, denominator monic.
+
+``Poly`` and ``BiPoly`` are canonical too: the gcd of the denominator and
+all numerators is 1, and the zero polynomial is stored as ``((), 1)``.
+Most polynomials here have integer coefficients, so the denominator is
+usually 1 and every operation (sums, products, powers, composition,
+substitution, Horner evaluation at p/q, integration) runs on Python
+integers, with one gcd at the end to restore the canonical form.  The
+``coeffs`` and ``rows`` properties give the coefficients as ``Fraction``.
+Equality of canonical forms is plain structural comparison.
 
 All values are immutable after construction and all operations are
 pure, so everything here is safe to share between threads.
@@ -45,38 +55,149 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Scalar) -> str:
     """Serialize a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
+    if type(value) is int:
+        return str(value)
     q = Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: Scalar) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+# -- integer coefficient lists ------------------------------------------------
+#
+# Lists of int, lowest power first.  Ints and Fractions both carry
+# ``numerator`` and ``denominator``, which the helpers below rely on.
+
+
+def _over_lcm(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integer numerators of exact scalars over their least common denominator.
+
+    The result is already reduced: some scalar with the largest power of
+    each prime in the denominator keeps a numerator that prime does not
+    divide.
+    """
+    vals = list(values)
+    if all(type(v) is int for v in vals):
+        return vals, 1
+    den = math.lcm(*[_exact(v).denominator for v in vals])
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _trimmed(nums: list[int]) -> list[int]:
+    n = len(nums)
+    while n and not nums[n - 1]:
         n -= 1
-    return tuple(coeffs[:n])
+    return nums if n == len(nums) else nums[:n]
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """Make ``den`` positive and divide out gcd(den, *nums)."""
+    if den < 0:
+        den, nums = -den, [-c for c in nums]
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    return nums, den
+
+
+def _add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _horner(nums: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """(sum_i nums[i] * p^i * q^(d-i), q^d) for d = len(nums) - 1 >= 0.
+
+    The first entry is the value at p/q times q^d, computed by Horner's
+    rule on the homogenised form, so every step stays in the integers.
+    """
+    acc = nums[-1]
+    scale = 1
+    for i in range(len(nums) - 2, -1, -1):
+        scale *= q
+        acc = acc * p + nums[i] * scale
+    return acc, scale
+
+
+def _homogeneous_powers(v: Sequence[int], e: int, d: int) -> list[list[int]]:
+    """[v^k * e^(d-k) for k = 0..d]: the powers of v/e, all over e^d."""
+    powers = []
+    power: list[int] = [1]
+    for k in range(d + 1):
+        scale = e ** (d - k)
+        powers.append([scale * c for c in power])
+        power = _mul(power, v)
+    return powers
+
+
+def _poly(nums: list[int], den: int = 1) -> "Poly":
+    """Poly of the integer numerators over a nonzero ``den``, canonicalised."""
+    nums = _trimmed(nums)
+    if not nums:
+        return _raw_poly((), 1)
+    nums, den = _reduced(nums, den)
+    return _raw_poly(tuple(nums), den)
+
+
+def _raw_poly(nums: tuple[int, ...], den: int) -> "Poly":
+    """Poly of numerators and denominator already in canonical form."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "numerators", nums)
+    object.__setattr__(p, "denominator", den)
+    return p
+
+
+def _rational_strings(nums: Iterable[int], den: int) -> list[str]:
+    """Each ``c/den`` as a rational literal in lowest terms."""
+    if den == 1:
+        return [str(c) for c in nums]
+    out = []
+    for c in nums:
+        g = math.gcd(c, den)
+        d = den // g
+        out.append(str(c // g) if d == 1 else f"{c // g}/{d}")
+    return out
 
 
 class Poly:
     """Dense univariate polynomial over exact rationals.
 
-    ``coeffs[i]`` is the coefficient of the i-th power.  Canonical form:
-    no trailing zero coefficients, the zero polynomial is ``()``.
+    Stored as integer ``numerators`` over one positive ``denominator``:
+    the coefficient of the i-th power is ``numerators[i] / denominator``.
+    Canonical form: no trailing zero numerators, gcd(denominator,
+    *numerators) == 1, and the zero polynomial is ``((), 1)``.
+    ``coeffs`` gives the coefficients as a tuple of ``Fraction``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        object.__setattr__(self, "coeffs", _trim([_coerce(c) for c in coeffs]))
+        nums, den = _over_lcm(coeffs)
+        object.__setattr__(self, "numerators", tuple(_trimmed(nums)))
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -98,54 +219,58 @@ class Poly:
         return cls([0] * power + [coeff])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients as Fractions, lowest power first."""
+        den = self.denominator
+        return tuple(Fraction(c, den) for c in self.numerators)
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.numerators):
+            return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
     def is_integral(self) -> bool:
         """True when every coefficient has denominator 1."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.denominator == 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.numerators == other.numerators and self.denominator == other.denominator
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.numerators, self.denominator))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _raw_poly(tuple(-c for c in self.numerators), self.denominator)
 
     def __add__(self, other) -> "Poly":
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        a, da = self.numerators, self.denominator
+        b, db = other.numerators, other.denominator
+        if da == db:
+            return _poly(_add(a, b), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _poly(_add([fa * c for c in a], [fb * c for c in b]), fa * da)
 
     __radd__ = __add__
 
@@ -160,79 +285,89 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            f = _coerce(other)
-            return Poly([c * f for c in self.coeffs])
+            k = other.numerator
+            return _poly([k * c for c in self.numerators], self.denominator * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        return _poly(_mul(self.numerators, other.numerators), self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.constant(1)
-        base = self
+        result: list[int] = [1]
+        base = list(self.numerators)
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _mul(result, base)
             e >>= 1
-        return result
+            if e:
+                base = _mul(base, base)
+        return _poly(result, self.denominator**exponent)
 
     @staticmethod
     def _as_poly(value):
         if isinstance(value, Poly):
             return value
         if isinstance(value, (int, Fraction)):
-            return Poly.constant(value)
+            return _poly([value.numerator], value.denominator)
         return NotImplemented
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Exact Horner evaluation."""
-        x = _coerce(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at ``point`` = p/q.
+
+        Horner's rule on sum_i c_i p^i q^(d-i) in the integers, then one
+        division by denominator * q^d.
+        """
+        x = _exact(point)
+        if not self.numerators:
+            return Fraction(0)
+        acc, scale = _horner(self.numerators, x.numerator, x.denominator)
+        return Fraction(acc, self.denominator * scale)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        nums = self.numerators
+        return _poly([i * nums[i] for i in range(1, len(nums))], self.denominator)
 
     def antiderivative(self) -> "Poly":
         """Term-wise antiderivative with zero constant term."""
-        return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        nums = self.numerators
+        scale = math.lcm(*range(1, len(nums) + 1))
+        return _poly(
+            [0] + [c * (scale // (i + 1)) for i, c in enumerate(nums)],
+            self.denominator * scale,
+        )
 
     def integrate(self, lower: Scalar, upper: Scalar) -> Fraction:
         """Exact definite integral over [lower, upper]."""
-        lo, hi = _coerce(lower), _coerce(upper)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-        return total
+        primitive = self.antiderivative()
+        return primitive(upper) - primitive(lower)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """Substitute ``inner`` for the variable (Horner form)."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
+        """Substitute ``inner`` = v/e for the variable.
+
+        Horner's rule on sum_i c_i v^i e^(d-i) over integer lists, then
+        one division by denominator * e^d.
+        """
+        nums = self.numerators
+        if not nums:
+            return self
+        v, e = inner.numerators, inner.denominator
+        acc = [nums[-1]]
+        scale = 1
+        for i in range(len(nums) - 2, -1, -1):
+            scale *= e
+            acc = _add(_mul(acc, v), [nums[i] * scale])
+        return _poly(acc, self.denominator * scale)
 
     def to_strings(self) -> list[str]:
         """Coefficients as rational literals, lowest power first."""
-        return [format_rational(c) for c in self.coeffs]
+        return _rational_strings(self.numerators, self.denominator)
 
     def __repr__(self) -> str:
-        return f"Poly({[format_rational(c) for c in self.coeffs]})"
+        return f"Poly({self.to_strings()})"
 
     def __str__(self) -> str:
         return poly_str(self, "y")
@@ -261,76 +396,68 @@ def poly_str(p: Poly, var: str) -> str:
     return "".join(parts)
 
 
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Polynomial long division over the rationals: num = q*den + r, deg r < deg den."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.degree < den.degree:
-        return Poly(), num
-    rem = list(num.coeffs)
-    dc = den.coeffs
-    lead = dc[-1]
-    qlen = len(rem) - len(dc) + 1
-    quo = [Fraction(0)] * qlen
-    for k in range(qlen - 1, -1, -1):
-        coeff = rem[k + len(dc) - 1] / lead
-        if coeff:
-            quo[k] = coeff
-            for i, d in enumerate(dc):
-                rem[k + i] -= coeff * d
-    return Poly(quo), Poly(rem)
-
-
-# Canonicalisation works on integer coefficient lists (lowest power first,
+# Division and gcds work on integer coefficient lists (lowest power first,
 # no trailing zeros).  The Fraction coefficients of a Euclidean remainder
 # sequence over Q grow far beyond the size of its inputs; the primitive
 # remainder sequence over Z keeps every remainder content-free instead.
 
 
-def _primitive_part(ints: list[int]) -> list[int]:
-    """Divide out the gcd of the entries and make the leading entry positive."""
+def _content(ints: Sequence[int]) -> tuple[int, list[int]]:
+    """Write a nonzero integer list as content * primitive list.
+
+    The primitive list has coprime entries and a positive leading entry;
+    the content carries the sign.
+    """
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
     if content == 1:
-        return ints
-    return [c // content for c in ints]
+        return 1, list(ints)
+    return content, [c // content for c in ints]
 
 
-def _split_content(coeffs: Sequence[Fraction]) -> tuple[Fraction, list[int]]:
-    """Write a nonzero polynomial as content * primitive integer list.
-
-    The integer list has coprime entries and a positive leading entry.
-    """
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-    prim = _primitive_part(ints)
-    return Fraction(ints[-1], scale * prim[-1]), prim
-
-
-def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
-    """A nonzero integer multiple of (u mod v), trailing zeros trimmed.
+def _pseudo_divmod(u: Sequence[int], v: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(s, q, r) with s*u = q*v + r over Z, deg r < deg v, r trimmed.
 
     Each step cancels the top term of the running remainder r with the
-    smallest integer multiples a*r - b*x^k*v, so the result differs from
-    the remainder over Q by an integer factor that the caller's primitive
-    part removes.  Requires deg u >= deg v >= 1.
+    smallest integer multiples a*r - b*x^k*v, and scales q and s by the
+    same a, so s, q and r stay as small as exact division over Z allows.
+    Requires deg u >= deg v >= 0.
     """
     lead = v[-1]
     dv = len(v) - 1
     r = list(u)
-    for k in range(len(u) - len(v), -1, -1):
+    quo = [0] * (len(u) - dv)
+    s = 1
+    for k in range(len(quo) - 1, -1, -1):
         top = r.pop()
         if top:
             g = math.gcd(top, lead)
             a, b = lead // g, top // g
             if a != 1:
                 r = [a * c for c in r]
+                quo = [a * c for c in quo]
+                s *= a
+            quo[k] = b
             for i in range(dv):
                 r[k + i] -= b * v[i]
-    while r and not r[-1]:
-        r.pop()
-    return r
+    return s, quo, _trimmed(r)
+
+
+def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Polynomial long division over the rationals: num = q*den + r, deg r < deg den."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.degree < den.degree:
+        return Poly(), num
+    # s*u = q*v + r on the numerators gives
+    # u/du = (q*dv / (s*du)) * (v/dv) + r / (s*du).
+    s, quo, rem = _pseudo_divmod(num.numerators, den.numerators)
+    scale = s * num.denominator
+    return (
+        _poly([den.denominator * c for c in quo], scale),
+        _poly(rem, scale),
+    )
 
 
 def _int_gcd(u: list[int], v: list[int]) -> list[int]:
@@ -344,28 +471,11 @@ def _int_gcd(u: list[int], v: list[int]) -> list[int]:
     if len(u) < len(v):
         u, v = v, u
     while len(v) > 1:
-        r = _pseudo_remainder(u, v)
+        r = _pseudo_divmod(u, v)[2]
         if not r:
             return v
-        u, v = v, _primitive_part(r)
+        u, v = v, _content(r)[1]
     return [1]
-
-
-def _exact_quotient(u: list[int], v: list[int]) -> list[int]:
-    """u / v for integer lists when v divides u in Z[x]."""
-    if v == [1]:
-        return u
-    lead = v[-1]
-    dv = len(v) - 1
-    r = list(u)
-    quo = [0] * (len(u) - dv)
-    for k in range(len(quo) - 1, -1, -1):
-        c = r[k + dv] // lead
-        if c:
-            quo[k] = c
-            for i in range(dv):
-                r[k + i] -= c * v[i]
-    return quo
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -376,10 +486,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero() and b.is_zero():
         return Poly()
     if a.is_zero() or b.is_zero():
-        g = _split_content((a or b).coeffs)[1]
+        g = _content((a or b).numerators)[1]
     else:
-        g = _int_gcd(_split_content(a.coeffs)[1], _split_content(b.coeffs)[1])
-    return Poly([Fraction(c, g[-1]) for c in g])
+        g = _int_gcd(_content(a.numerators)[1], _content(b.numerators)[1])
+    # A primitive list with a positive leading entry, over that entry, is canonical.
+    return _raw_poly(tuple(g), g[-1])
 
 
 def _sign(x: Fraction) -> int:
@@ -421,26 +532,53 @@ def count_real_roots_nonpositive(p: Poly) -> int:
     return negatives + at_zero
 
 
-class BiPoly:
-    """Dense bivariate polynomial: ``rows[i][j]`` is the coefficient of x^i y^j."""
+def _bipoly(grid: list[list[int]], den: int = 1) -> "BiPoly":
+    """BiPoly of a grid of integer numerators over a nonzero ``den``, canonicalised."""
+    while grid and not any(grid[-1]):
+        grid.pop()
+    if not grid:
+        return _raw_bipoly((), 1)
+    width = max(len(_trimmed(row)) for row in grid)
+    grid = [row[:width] + [0] * (width - len(row)) for row in grid]
+    if den < 0:
+        den = -den
+        grid = [[-c for c in row] for row in grid]
+    if den != 1:
+        g = math.gcd(den, *(c for row in grid for c in row))
+        if g != 1:
+            den //= g
+            grid = [[c // g for c in row] for row in grid]
+    return _raw_bipoly(tuple(tuple(row) for row in grid), den)
 
-    __slots__ = ("rows",)
+
+def _raw_bipoly(grid: tuple[tuple[int, ...], ...], den: int) -> "BiPoly":
+    """BiPoly of a grid and denominator already in canonical form."""
+    p = object.__new__(BiPoly)
+    object.__setattr__(p, "numerators", grid)
+    object.__setattr__(p, "denominator", den)
+    return p
+
+
+class BiPoly:
+    """Dense bivariate polynomial over exact rationals.
+
+    Stored as a rectangular grid of integer ``numerators`` over one
+    positive ``denominator``: the coefficient of x^i y^j is
+    ``numerators[i][j] / denominator``.  Canonical form: no trailing
+    all-zero row or column, gcd(denominator, every numerator) == 1, and
+    the zero polynomial is ``((), 1)``.  ``rows`` gives the coefficients
+    as a grid of ``Fraction``.
+    """
+
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]] = ()):
-        grid = [[_coerce(c) for c in row] for row in rows]
-        while grid and all(c == 0 for c in grid[-1]):
-            grid.pop()
-        width = 0
-        for row in grid:
-            top = len(row)
-            while top and row[top - 1] == 0:
-                top -= 1
-            width = max(width, top)
-        trimmed = tuple(
-            tuple(row[j] if j < len(row) else Fraction(0) for j in range(width))
-            for row in grid
-        )
-        object.__setattr__(self, "rows", trimmed)
+        grid = [list(row) for row in rows]
+        flat, den = _over_lcm(c for row in grid for c in row)
+        values = iter(flat)
+        canonical = _bipoly([[next(values) for _ in row] for row in grid], den)
+        object.__setattr__(self, "numerators", canonical.numerators)
+        object.__setattr__(self, "denominator", canonical.denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -455,55 +593,65 @@ class BiPoly:
 
     @classmethod
     def from_y_poly(cls, p: Poly) -> "BiPoly":
-        return cls([list(p.coeffs)])
+        return _bipoly([list(p.numerators)], p.denominator)
 
     @classmethod
     def from_x_poly(cls, p: Poly) -> "BiPoly":
-        return cls([[c] for c in p.coeffs])
+        return _bipoly([[c] for c in p.numerators], p.denominator)
 
     @classmethod
     def outer(cls, px: Poly, py: Poly) -> "BiPoly":
         """Product px(x) * py(y)."""
-        return cls([[a * b for b in py.coeffs] for a in px.coeffs])
+        ys = py.numerators
+        return _bipoly([[a * b for b in ys] for a in px.numerators], px.denominator * py.denominator)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Coefficients as Fractions: ``rows[i][j]`` belongs to x^i y^j."""
+        den = self.denominator
+        return tuple(tuple(Fraction(c, den) for c in row) for row in self.numerators)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.numerators
 
     @property
     def x_degree(self) -> int:
-        return len(self.rows) - 1
+        return len(self.numerators) - 1
 
     @property
     def y_degree(self) -> int:
-        return max((len(r) for r in self.rows), default=0) - 1
+        return len(self.numerators[0]) - 1 if self.numerators else -1
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        if 0 <= i < len(self.rows) and 0 <= j < len(self.rows[i]):
-            return self.rows[i][j]
+        if 0 <= i < len(self.numerators) and 0 <= j < len(self.numerators[i]):
+            return Fraction(self.numerators[i][j], self.denominator)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.rows == other.rows
+        return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self) -> int:
-        return hash(("BiPoly", self.rows))
+        return hash(("BiPoly", self.numerators, self.denominator))
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly([[-c for c in row] for row in self.rows])
+        grid = tuple(tuple(-c for c in row) for row in self.numerators)
+        return _raw_bipoly(grid, self.denominator)
 
     def __add__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        nr = max(len(self.rows), len(other.rows))
+        da, db = self.denominator, other.denominator
+        g = math.gcd(da, db)
+        nr = max(len(self.numerators), len(other.numerators))
         nc = max(self.y_degree, other.y_degree) + 1
-        return BiPoly(
-            [
-                [self.coefficient(i, j) + other.coefficient(i, j) for j in range(nc)]
-                for i in range(nr)
-            ]
-        )
+        out = [[0] * nc for _ in range(nr)]
+        for grid, factor in ((self.numerators, db // g), (other.numerators, da // g)):
+            for out_row, row in zip(out, grid):
+                for j, c in enumerate(row):
+                    out_row[j] += factor * c
+        return _bipoly(out, da // g * db)
 
     def __sub__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
@@ -512,63 +660,97 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
-            f = _coerce(other)
-            return BiPoly([[c * f for c in row] for row in self.rows])
+            k = other.numerator
+            grid = [[k * c for c in row] for row in self.numerators]
+            return _bipoly(grid, self.denominator * other.denominator)
         if not isinstance(other, BiPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return BiPoly()
-        nr = len(self.rows) + len(other.rows) - 1
+        nr = len(self.numerators) + len(other.numerators) - 1
         nc = self.y_degree + other.y_degree + 1
-        out = [[Fraction(0)] * nc for _ in range(nr)]
-        for i, row in enumerate(self.rows):
+        out = [[0] * nc for _ in range(nr)]
+        for i, row in enumerate(self.numerators):
             for j, a in enumerate(row):
                 if a:
-                    for k, orow in enumerate(other.rows):
+                    for k, orow in enumerate(other.numerators):
+                        target = out[i + k]
                         for l, b in enumerate(orow):
                             if b:
-                                out[i + k][j + l] += a * b
-        return BiPoly(out)
+                                target[j + l] += a * b
+        return _bipoly(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __call__(self, x: Scalar, y: Scalar) -> Fraction:
-        """Exact evaluation at a rational point (x, y)."""
-        xv, yv = _coerce(x), _coerce(y)
-        total = Fraction(0)
-        for row in reversed(self.rows):
-            acc = Fraction(0)
-            for c in reversed(row):
-                acc = acc * yv + c
-            total = total * xv + acc
-        return total
+        """Exact value at a rational point (x, y) = (p/q, r/s).
+
+        Each row is evaluated at y over s^dy, then the row values at x
+        over q^dx, all in the integers; one division at the end.
+        """
+        xv, yv = _exact(x), _exact(y)
+        if not self.numerators:
+            return Fraction(0)
+        r, s = yv.numerator, yv.denominator
+        row_values = [_horner(row, r, s)[0] for row in self.numerators]
+        y_scale = s**self.y_degree
+        total, x_scale = _horner(row_values, xv.numerator, xv.denominator)
+        return Fraction(total, self.denominator * x_scale * y_scale)
 
     def substitute_x(self, x: Scalar) -> Poly:
         """Fix x at a rational value, leaving a polynomial in y."""
-        xv = _coerce(x)
-        acc = Poly()
-        for row in reversed(self.rows):
-            acc = acc * Poly.constant(xv) + Poly(row)
-        return acc
+        xv = _exact(x)
+        grid = self.numerators
+        if not grid:
+            return Poly()
+        p, q = xv.numerator, xv.denominator
+        acc = list(grid[-1])
+        scale = 1
+        for i in range(len(grid) - 2, -1, -1):
+            scale *= q
+            acc = [a * p + c * scale for a, c in zip(acc, grid[i])]
+        return _poly(acc, self.denominator * scale)
 
     def substitute_y(self, y: Scalar) -> Poly:
         """Fix y at a rational value, leaving a polynomial in x."""
-        yv = _coerce(y)
-        return Poly([Poly(row)(yv) for row in self.rows])
+        yv = _exact(y)
+        if not self.numerators:
+            return Poly()
+        r, s = yv.numerator, yv.denominator
+        values = [_horner(row, r, s)[0] for row in self.numerators]
+        return _poly(values, self.denominator * s**self.y_degree)
 
     def substitute(self, x_image: Poly, y_image: Poly) -> "BiPoly":
-        """Replace x by a polynomial in x and y by a polynomial in y."""
-        result = BiPoly()
-        x_power = Poly.constant(1)
-        for row in self.rows:
-            row_in_y = Poly(row).compose(y_image)
-            result = result + BiPoly.outer(x_power, row_in_y)
-            x_power = x_power * x_image
-        return result
+        """Replace x by a polynomial in x and y by a polynomial in y.
+
+        With x_image = w/f and y_image = v/e, the term c x^i y^j becomes
+        c (w^i f^(dx-i)) (v^j e^(dy-j)) over f^dx e^dy: integer lists
+        throughout, and one canonicalisation at the end.
+        """
+        grid = self.numerators
+        if not grid:
+            return BiPoly()
+        dx, dy = self.x_degree, self.y_degree
+        xs = _homogeneous_powers(x_image.numerators, x_image.denominator, dx)
+        ys = _homogeneous_powers(y_image.numerators, y_image.denominator, dy)
+        nc = max(len(p) for p in ys)
+        out = [[0] * nc for _ in range(max(len(p) for p in xs))]
+        for row, x_power in zip(grid, xs):
+            in_y = [0] * nc
+            for c, y_power in zip(row, ys):
+                if c:
+                    for j, b in enumerate(y_power):
+                        in_y[j] += c * b
+            for out_row, a in zip(out, x_power):
+                if a:
+                    for j, b in enumerate(in_y):
+                        out_row[j] += a * b
+        scale = x_image.denominator**dx * y_image.denominator**dy
+        return _bipoly(out, self.denominator * scale)
 
     def to_strings(self) -> list[list[str]]:
         """Nested coefficient arrays, x power outer, y power inner, lowest first."""
-        return [[format_rational(c) for c in row] for row in self.rows]
+        return [_rational_strings(row, self.denominator) for row in self.numerators]
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_strings()})"
@@ -577,8 +759,8 @@ class BiPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(len(self.rows)):
-            for j in range(len(self.rows[i])):
+        for i in range(len(self.numerators)):
+            for j in range(len(self.numerators[i])):
                 c = self.coefficient(i, j)
                 if c == 0:
                     continue
@@ -603,8 +785,8 @@ class RatFunc:
     Canonical means: the denominator is monic and nonzero, numerator and
     denominator are coprime, and the zero function is 0/1.  Two RatFunc
     values are equal exactly when their canonical fields are equal.
-    Construction cancels the common factor on integer coefficient lists:
-    primitive gcd, then exact integer division.
+    Construction cancels the common factor on the integer numerators of
+    both sides: primitive gcd, then exact integer division.
     """
 
     __slots__ = ("num", "den")
@@ -617,16 +799,20 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly(), Poly([1])
         else:
-            # num/den = (cn/cd) * pn/pd with pn, pd primitive integer lists;
-            # dividing both by their primitive gcd leaves them coprime.
-            cn, pn = _split_content(num.coeffs)
-            cd, pd = _split_content(den.coeffs)
+            # num/den = (cn/dn) / (cd/dd) * pn/pd with pn, pd primitive
+            # integer lists; dividing both by their primitive gcd leaves
+            # them coprime, and pd over its positive leading entry is monic.
+            # g divides both exactly in Z[x] (Gauss's lemma) and has a
+            # positive leading entry, so the pseudo-division multiplier is 1.
+            cn, pn = _content(num.numerators)
+            cd, pd = _content(den.numerators)
             g = _int_gcd(pn, pd)
-            pn, pd = _exact_quotient(pn, g), _exact_quotient(pd, g)
+            pn, pd = _pseudo_divmod(pn, g)[1], _pseudo_divmod(pd, g)[1]
             lead = pd[-1]
-            scale = cn / (cd * lead)
-            num = Poly([scale * c for c in pn])
-            den = Poly([Fraction(c, lead) for c in pd])
+            scale = Fraction(cn * den.denominator, num.denominator * cd * lead)
+            # A primitive list times a reduced fraction is already canonical.
+            num = _raw_poly(tuple(scale.numerator * c for c in pn), scale.denominator)
+            den = _raw_poly(tuple(pd), lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -659,7 +845,7 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
@@ -718,7 +904,7 @@ class RatFunc:
     def __call__(self, point: Scalar) -> Fraction:
         d = self.den(point)
         if d == 0:
-            raise ZeroDivisionError(f"pole at {format_rational(_coerce(point))}")
+            raise ZeroDivisionError(f"pole at {format_rational(_exact(point))}")
         return self.num(point) / d
 
     def to_strings(self) -> dict[str, list[str]]:
@@ -747,15 +933,17 @@ def ratfunc_str(f: RatFunc, var: str) -> str:
 def compose_poly_rational(p: Poly, arg: RatFunc) -> RatFunc:
     """Exact substitution of a rational function into a polynomial.
 
-    Computes sum_k c_k * num^k * den^(d-k) over den^d, then canonicalizes.
+    Computes sum_k c_k * num^k * den^(d-k) over den^d, on the integer
+    numerators c_k of ``p`` (its denominator joins den^d), then
+    canonicalizes.
     """
     if p.is_zero():
         return RatFunc.zero()
     d = p.degree
     total = Poly()
     num_power = Poly.constant(1)
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(p.numerators):
         if c:
             total = total + c * num_power * arg.den ** (d - k)
         num_power = num_power * arg.num
-    return RatFunc(total, arg.den**d)
+    return RatFunc(total, p.denominator * arg.den**d)

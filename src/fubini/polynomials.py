@@ -88,10 +88,11 @@ def fubini_two_var(n: int) -> BiPoly:
     cached = _two_var_cache.get(n)
     if cached is not None:
         return cached
-    result = BiPoly.zero()
-    for k in range(n + 1):
-        term = BiPoly.outer(Poly.monomial(n - k, binomial(n, k)), fubini_poly(k))
-        result = result + term
+    # Row n-k (the coefficient of x^(n-k)) is C(n,k) * F_k(y); every F_k
+    # has integer coefficients, so its numerators are the coefficients.
+    result = BiPoly(
+        [binomial(n, k) * c for c in fubini_poly(k).numerators] for k in range(n, -1, -1)
+    )
     with _lock:
         _two_var_cache.setdefault(n, result)
     return _two_var_cache[n]

@@ -5,7 +5,8 @@ classical algorithm that shares no code path with the library: set
 partitions are generated as explicit block structures, cycle counts come
 from itertools.permutations, binomials from Pascal's triangle, Bernoulli
 numbers from the Akiyama-Tanigawa scheme, polynomial gcds from Euclid's
-algorithm over Q on plain coefficient lists.
+algorithm over Q, and polynomial arithmetic from schoolbook formulas on
+plain lists of Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -116,3 +117,122 @@ def poly_gcd_euclid(a, b) -> tuple[Fraction, ...]:
     if not a:
         return ()
     return tuple(c / a[-1] for c in a)
+
+
+# Polynomial arithmetic on plain coefficient lists, lowest power first, one
+# Fraction per coefficient.  Univariate results are trimmed tuples; a
+# bivariate polynomial is a list of rows, rows[i][j] belonging to x^i y^j.
+
+
+def _trimmed(coeffs) -> tuple[Fraction, ...]:
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_add_ref(a, b) -> tuple[Fraction, ...]:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trimmed(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+
+
+def poly_mul_ref(a, b) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return _trimmed(out)
+
+
+def poly_pow_ref(a, exponent: int) -> tuple[Fraction, ...]:
+    out: tuple = (Fraction(1),)
+    for _ in range(exponent):
+        out = poly_mul_ref(out, a)
+    return out
+
+
+def poly_eval_ref(a, x) -> Fraction:
+    """sum_i a_i x^i, term by term."""
+    return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def poly_derivative_ref(a) -> tuple[Fraction, ...]:
+    return _trimmed(i * Fraction(c) for i, c in enumerate(a) if i)
+
+
+def poly_antiderivative_ref(a) -> tuple[Fraction, ...]:
+    return _trimmed([Fraction(0)] + [Fraction(c) / (i + 1) for i, c in enumerate(a)])
+
+
+def poly_integrate_ref(a, lower, upper) -> Fraction:
+    lo, hi = Fraction(lower), Fraction(upper)
+    return sum(
+        (Fraction(c) * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1) for i, c in enumerate(a)),
+        Fraction(0),
+    )
+
+
+def poly_compose_ref(a, inner) -> tuple[Fraction, ...]:
+    """sum_i a_i inner^i, with each power built by repeated multiplication."""
+    out: tuple = ()
+    for i, c in enumerate(a):
+        out = poly_add_ref(out, poly_mul_ref((Fraction(c),), poly_pow_ref(inner, i)))
+    return out
+
+
+def bipoly_trimmed_ref(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Rectangular grid with trailing all-zero rows and columns removed."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    while rows and not any(rows[-1]):
+        rows.pop()
+    width = max((len(_trimmed(row)) for row in rows), default=0)
+    return tuple(
+        tuple(row[j] if j < len(row) else Fraction(0) for j in range(width)) for row in rows
+    )
+
+
+def bipoly_outer_ref(px, py):
+    return bipoly_trimmed_ref([[Fraction(a) * Fraction(b) for b in py] for a in px])
+
+
+def bipoly_eval_ref(rows, x, y) -> Fraction:
+    """sum_ij rows[i][j] x^i y^j, term by term."""
+    return sum(
+        (
+            Fraction(c) * Fraction(x) ** i * Fraction(y) ** j
+            for i, row in enumerate(rows)
+            for j, c in enumerate(row)
+        ),
+        Fraction(0),
+    )
+
+
+def bipoly_substitute_x_ref(rows, x) -> tuple[Fraction, ...]:
+    """The polynomial in y left by fixing x."""
+    out: tuple = ()
+    for i, row in enumerate(rows):
+        out = poly_add_ref(out, poly_mul_ref((Fraction(x) ** i,), row))
+    return out
+
+
+def bipoly_substitute_y_ref(rows, y) -> tuple[Fraction, ...]:
+    """The polynomial in x left by fixing y."""
+    return _trimmed(poly_eval_ref(row, y) for row in rows)
+
+
+def bipoly_substitute_ref(rows, x_image, y_image):
+    """sum_ij rows[i][j] x_image(x)^i y_image(y)^j as a grid."""
+    grid: dict[tuple[int, int], Fraction] = {}
+    for i, row in enumerate(rows):
+        x_part = poly_pow_ref(x_image, i)
+        for j, c in enumerate(row):
+            y_part = poly_mul_ref((Fraction(c),), poly_pow_ref(y_image, j))
+            for a, u in enumerate(x_part):
+                for b, v in enumerate(y_part):
+                    grid[a, b] = grid.get((a, b), Fraction(0)) + u * v
+    nr = 1 + max((a for a, _ in grid), default=-1)
+    nc = 1 + max((b for _, b in grid), default=-1)
+    return bipoly_trimmed_ref(
+        [[grid.get((a, b), Fraction(0)) for b in range(nc)] for a in range(nr)]
+    )

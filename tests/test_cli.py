@@ -108,6 +108,43 @@ class TestCompute:
         assert code == 2
         assert "pole" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bernoulli", "--n", "4", "--at", "3"),
+            ("fubini-number", "--n", "5", "--at", "-1/2"),
+            ("fubini-two-var", "--n", "2", "--at", "1"),
+            ("p-bernoulli", "--n", "1", "--p", "1", "--at", "2"),
+            ("fubini-poly", "--n", "4", "--k", "2"),
+            ("apostol", "--n", "2", "--k", "1"),
+            ("bernoulli", "--n", "4", "--p", "2"),
+            ("stirling2", "--n", "4", "--k", "2", "--p", "1"),
+        ],
+    )
+    def test_option_the_object_does_not_take_is_usage_error(self, argv):
+        code, out, err = run_cli("compute", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"does not apply to {argv[0]}" in err
+
+    def test_m_option_is_not_accepted(self):
+        code, out, _ = run_cli("compute", "binomial", "--n", "4", "--k", "2", "--m", "3")
+        assert code == 2
+        assert out == ""
+
+    def test_readme_compute_examples_still_run(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        examples = [
+            line.split("#")[0].split()[1:]
+            for line in readme.splitlines()
+            if line.startswith("fubini compute ")
+        ]
+        assert len(examples) >= 9
+        for argv in examples:
+            code, out, err = run_cli(*argv)
+            assert (code, err) == (0, ""), argv
+            assert out.strip()
+
 
 class TestTable:
     def test_bernoulli_csv(self):

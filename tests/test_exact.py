@@ -1,5 +1,6 @@
 """Exact scalar, polynomial and rational-function arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,37 @@ from fubini.exact import (
     poly_gcd,
     poly_str,
 )
-from oracles import poly_gcd_euclid
+from oracles import (
+    bipoly_eval_ref,
+    bipoly_outer_ref,
+    bipoly_substitute_ref,
+    bipoly_substitute_x_ref,
+    bipoly_substitute_y_ref,
+    bipoly_trimmed_ref,
+    poly_add_ref,
+    poly_antiderivative_ref,
+    poly_compose_ref,
+    poly_derivative_ref,
+    poly_eval_ref,
+    poly_gcd_euclid,
+    poly_integrate_ref,
+    poly_mul_ref,
+    poly_pow_ref,
+)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+# Integers and non-integers mixed, so both the denominator-1 paths and the
+# common-denominator paths of the integer storage are exercised.
+mixed_scalars = st.one_of(st.integers(min_value=-50, max_value=50), small_rationals)
+
+
+def mixed_lists(max_degree=5):
+    return st.lists(mixed_scalars, max_size=max_degree + 1)
+
+
+def mixed_grids(max_rows=3, max_cols=3):
+    return st.lists(st.lists(mixed_scalars, max_size=max_cols), max_size=max_rows)
 
 
 def small_polys(max_degree=6):
@@ -181,6 +209,164 @@ class TestBiPoly:
         a = BiPoly([[1, 1], [2]])
         b = BiPoly([[0, 3], [1, 0], [5]])
         assert (a * b)(x, y) == a(x, y) * b(x, y)
+
+
+def assert_canonical_poly(p):
+    nums, den = p.numerators, p.denominator
+    assert type(nums) is tuple and all(type(c) is int for c in nums)
+    assert type(den) is int and den > 0
+    if not nums:
+        assert den == 1
+    else:
+        assert nums[-1] != 0
+        assert math.gcd(den, *nums) == 1
+    assert type(p.coeffs) is tuple and all(type(c) is Fraction for c in p.coeffs)
+
+
+def assert_canonical_bipoly(b):
+    grid, den = b.numerators, b.denominator
+    assert type(grid) is tuple and all(type(row) is tuple for row in grid)
+    assert type(den) is int and den > 0
+    if not grid:
+        assert den == 1
+    else:
+        width = len(grid[0])
+        assert width > 0 and all(len(row) == width for row in grid)
+        assert all(type(c) is int for row in grid for c in row)
+        assert any(grid[-1]) and any(row[-1] for row in grid)
+        assert math.gcd(den, *(c for row in grid for c in row)) == 1
+    assert type(b.rows) is tuple
+    assert all(type(row) is tuple and all(type(c) is Fraction for c in row) for row in b.rows)
+
+
+class TestIntegerStorage:
+    """Poly and BiPoly keep integer numerators over one denominator; every
+    operation must agree with schoolbook Fraction arithmetic and leave a
+    canonical form."""
+
+    @given(mixed_lists(), mixed_lists(), mixed_scalars)
+    def test_ring_operations_match_reference(self, a, b, c):
+        p, q = Poly(a), Poly(b)
+        negated_b = [-Fraction(x) for x in b]
+        cases = [
+            (p, poly_add_ref(a, [])),
+            (p + q, poly_add_ref(a, b)),
+            (p - q, poly_add_ref(a, negated_b)),
+            (-q, poly_add_ref(negated_b, [])),
+            (p * q, poly_mul_ref(a, b)),
+            (p * c, poly_mul_ref(a, [c])),
+            (c * p, poly_mul_ref(a, [c])),
+            (p + c, poly_add_ref(a, [c])),
+            (c - p, poly_add_ref([c], [-Fraction(x) for x in a])),
+            (p**0, (Fraction(1),)),
+            (p**3, poly_pow_ref(a, 3)),
+        ]
+        for value, expected in cases:
+            assert_canonical_poly(value)
+            assert value.coeffs == expected
+
+    @given(mixed_lists(8), mixed_scalars)
+    def test_horner_matches_reference(self, a, x):
+        value = Poly(a)(x)
+        assert type(value) is Fraction
+        assert value == poly_eval_ref(a, x)
+
+    @given(mixed_lists(), mixed_scalars, mixed_scalars)
+    def test_calculus_matches_reference(self, a, lo, hi):
+        p = Poly(a)
+        for value, expected in (
+            (p.derivative(), poly_derivative_ref(a)),
+            (p.antiderivative(), poly_antiderivative_ref(a)),
+        ):
+            assert_canonical_poly(value)
+            assert value.coeffs == expected
+        assert p.integrate(lo, hi) == poly_integrate_ref(a, lo, hi)
+
+    @given(mixed_lists(4), mixed_lists(3))
+    def test_compose_matches_reference(self, a, b):
+        composed = Poly(a).compose(Poly(b))
+        assert_canonical_poly(composed)
+        assert composed.coeffs == poly_compose_ref(a, b)
+
+    @given(mixed_grids(), mixed_lists(3), mixed_lists(3))
+    def test_bipoly_construction_and_outer_match_reference(self, grid, px, py):
+        b = BiPoly(grid)
+        assert_canonical_bipoly(b)
+        assert b.rows == bipoly_trimmed_ref(grid)
+        outer = BiPoly.outer(Poly(px), Poly(py))
+        assert_canonical_bipoly(outer)
+        assert outer.rows == bipoly_outer_ref(px, py)
+
+    @given(mixed_grids(), mixed_grids(), mixed_scalars, mixed_scalars)
+    def test_bipoly_evaluation_matches_reference(self, g, h, x, y):
+        a, b = BiPoly(g), BiPoly(h)
+        value = a(x, y)
+        assert type(value) is Fraction
+        assert value == bipoly_eval_ref(g, x, y)
+        for combined, expected in (
+            (a + b, value + bipoly_eval_ref(h, x, y)),
+            (a - b, value - bipoly_eval_ref(h, x, y)),
+            (a * b, value * bipoly_eval_ref(h, x, y)),
+            (a * x, value * x),
+        ):
+            assert_canonical_bipoly(combined)
+            assert combined(x, y) == expected
+
+    @given(mixed_grids(), mixed_scalars, mixed_lists(2), mixed_lists(2))
+    def test_bipoly_substitution_matches_reference(self, grid, t, x_image, y_image):
+        b = BiPoly(grid)
+        fixed_x, fixed_y = b.substitute_x(t), b.substitute_y(t)
+        substituted = b.substitute(Poly(x_image), Poly(y_image))
+        assert_canonical_poly(fixed_x)
+        assert_canonical_poly(fixed_y)
+        assert_canonical_bipoly(substituted)
+        assert fixed_x.coeffs == bipoly_substitute_x_ref(grid, t)
+        assert fixed_y.coeffs == bipoly_substitute_y_ref(grid, t)
+        assert substituted.rows == bipoly_substitute_ref(grid, x_image, y_image)
+
+    def test_zero_is_stored_as_empty_over_one(self):
+        p = Poly([1, Fraction(1, 3)])
+        for zero in (Poly(), Poly([0, Fraction(0)]), p - p, p * Poly(), Poly().derivative()):
+            assert (zero.numerators, zero.denominator) == ((), 1)
+        for zero in (BiPoly(), BiPoly([[0], [0, Fraction(0)]]), BiPoly.outer(p, Poly())):
+            assert (zero.numerators, zero.denominator) == ((), 1)
+
+    def test_storage_examples(self):
+        p = Poly([Fraction(1, 2), 0, Fraction(-1, 3)])
+        assert (p.numerators, p.denominator) == ((3, 0, -2), 6)
+        assert (p * 6).numerators == (3, 0, -2) and (p * 6).denominator == 1
+        b = BiPoly([[Fraction(1, 2)], [0, Fraction(1, 4)]])
+        assert (b.numerators, b.denominator) == (((2, 0), (0, 1)), 4)
+
+    def test_equal_values_are_equal_and_hash_equal(self):
+        a, b = Poly([2, 4]), Poly([Fraction(4, 2), Fraction(8, 2)])
+        assert a == b and hash(a) == hash(b)
+        c = Poly([Fraction(1, 2), 1]) * 4
+        assert c == a and hash(c) == hash(a)
+        g, h = BiPoly([[2, 4]]), BiPoly([[Fraction(4, 2), Fraction(8, 2)], [0]])
+        assert g == h and hash(g) == hash(h)
+
+    @given(mixed_lists(), mixed_lists())
+    def test_equal_values_from_different_routes_hash_equal(self, a, b):
+        p, q = Poly(a), Poly(b)
+        assert Poly([Fraction(c) for c in a]) == p
+        assert hash(Poly([Fraction(c) for c in a])) == hash(p)
+        assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+        assert hash(p * q) == hash(q * p)
+
+    def test_inexact_scalars_are_rejected(self):
+        with pytest.raises(TypeError):
+            Poly([0.5])
+        with pytest.raises(TypeError):
+            BiPoly([[0.5]])
+        with pytest.raises(TypeError):
+            Poly([1, 2])(0.5)
+        with pytest.raises(TypeError):
+            Poly([1, 2]).integrate(0, 0.5)
+        with pytest.raises(TypeError):
+            Poly([1, 2]) * 0.5
+        with pytest.raises(TypeError):
+            BiPoly([[1, 2]])(0.5, 1)
 
 
 class TestRatFunc:
