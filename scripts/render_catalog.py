@@ -17,11 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from fubini.registry import REGISTRY, SAMPLE_GRID, Bounds, list_identities
 from fubini.exact import format_rational
 
-GRID_IDS = {
-    "eq19_reflection", "eq23_two_y", "eq24_corrected_split", "eq84_split",
-    "ab_split", "ab_sum_products",
-}
-
 ERRATA = {
     "eq24_corrected_split": (
         "The variant F_n(y) = 2^(n+1)(1+y) F_n(y^2/(1+2y)) - (1+2y) F_n(-y) "
@@ -120,9 +115,9 @@ def bounds_str(identity_id: str, bounds: Bounds) -> str:
         value = getattr(bounds, field)
         if value:
             parts.append(f"{label} <= {value}")
-    if identity_id in GRID_IDS:
+    if bounds.samples:
         parts.append(f"{bounds.samples} grid points")
-    if identity_id == "eq1_series":
+    if bounds.terms:
         parts.append(f"{bounds.terms} terms")
     if identity_id == "eq84_split" and bounds.aux_max:
         parts.append(f"symbolic collapse n <= {bounds.aux_max}")

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import factorial
 from typing import Union
 
-from .bernoulli_numbers import bernoulli
-from .combinat import binomial, factorial, stirling1_unsigned, stirling2_row
+from .bernoulli_numbers import bernoulli_binomial_sum, stirling_bernoulli_sum
+from .combinat import binomial, stirling2_row
 from .exact import (
     Poly,
     RatFunc,
@@ -159,11 +160,7 @@ def apostol_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
     if k < 0:
         raise ValueError("requires k >= 0")
     exact = (-1) ** k * (n + 1) * (Poly.monomial(k) * fubini_poly(n)).integrate(-1, 0)
-    acc = sum(
-        (stirling1_unsigned(k + 1, j + 1) * bernoulli(n + j) for j in range(k + 1)),
-        Fraction(0),
-    )
-    formula = Fraction(n + 1, factorial(k)) * acc
+    formula = Fraction(n + 1, factorial(k)) * stirling_bernoulli_sum(k, n)
     return exact, formula
 
 
@@ -189,13 +186,7 @@ def apostol_product_integral(m: int, n: int) -> tuple[Fraction, Fraction]:
     if m < 0:
         raise ValueError("requires m >= 0")
     exact = apostol_product_integral_exact(m, n)
-    formula = (
-        (-1) ** m
-        * (m + 1)
-        * (n + 1)
-        * sum((binomial(m, j) * bernoulli(n + j) for j in range(m + 1)), Fraction(0))
-    )
-    return exact, formula
+    return exact, (m + 1) * (n + 1) * bernoulli_binomial_sum(m, n)
 
 
 def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) -> float:

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import factorial
 
-from .combinat import (
-    binomial,
-    factorial,
-    stirling1_unsigned,
-    stirling2,
-    stirling2_row,
-)
+from .combinat import binomial, stirling1_unsigned, stirling2_row
 from .exact import Poly
 from .polynomials import fubini_poly
 
@@ -75,6 +70,21 @@ def bernoulli_via_integral(n: int) -> Fraction:
     return fubini_poly(n).integrate(-1, 0)
 
 
+def bernoulli_binomial_sum(m: int, n: int) -> Fraction:
+    """(-1)^m * sum_{j=0}^{m} C(m,j) * B_{n+j}."""
+    return (-1) ** m * sum(
+        (binomial(m, j) * bernoulli(n + j) for j in range(m + 1)), Fraction(0)
+    )
+
+
+def stirling_bernoulli_sum(k: int, n: int) -> Fraction:
+    """sum_{j=0}^{k} S1u(k+1, j+1) * B_{n+j}."""
+    return sum(
+        (stirling1_unsigned(k + 1, j + 1) * bernoulli(n + j) for j in range(k + 1)),
+        Fraction(0),
+    )
+
+
 def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
     """Both routes of the moment integral of y^k * F_n(y) over [-1, 0].
 
@@ -86,11 +96,7 @@ def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
     if k < 0:
         raise ValueError("requires k >= 0")
     exact = (Poly.monomial(k) * fubini_poly(n)).integrate(-1, 0)
-    acc = sum(
-        (stirling1_unsigned(k + 1, j + 1) * bernoulli(n + j) for j in range(k + 1)),
-        Fraction(0),
-    )
-    formula = Fraction((-1) ** k, factorial(k)) * acc
+    formula = Fraction((-1) ** k, factorial(k)) * stirling_bernoulli_sum(k, n)
     return exact, formula
 
 
@@ -105,10 +111,7 @@ def fubini_product_integral(m: int, n: int) -> tuple[Fraction, Fraction]:
     if m < 0:
         raise ValueError("requires m >= 0")
     exact = (fubini_poly(m) * fubini_poly(n)).integrate(-1, 0)
-    formula = (-1) ** m * sum(
-        (binomial(m, j) * bernoulli(n + j) for j in range(m + 1)), Fraction(0)
-    )
-    return exact, formula
+    return exact, bernoulli_binomial_sum(m, n)
 
 
 def double_sum_identity(n: int, m: int) -> tuple[Fraction, Fraction]:
@@ -132,10 +135,7 @@ def double_sum_identity(n: int, m: int) -> tuple[Fraction, Fraction]:
                 row_n[k] * row_m[j] * (-1) ** (k + j) * factorial(k) * factorial(j),
                 k + j + 1,
             )
-    rhs = (-1) ** m * sum(
-        (binomial(m, j) * bernoulli(n + j) for j in range(m + 1)), Fraction(0)
-    )
-    return lhs, rhs
+    return lhs, bernoulli_binomial_sum(m, n)
 
 
 def p_bernoulli(n: int, p: int) -> Fraction:
@@ -173,6 +173,25 @@ def p_bernoulli_shift_relation(n: int, p: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+def p_bernoulli_stirling_sum(upper: int, p: int, sign: int) -> Fraction:
+    """The explicit Stirling sum behind both p-Bernoulli parity formulas:
+
+    ((p+1)/p) * sum_{k=0}^{upper-1} S2(upper, k+1) * sign * (-1)^k * (k+1)! / (k+p+1)
+
+    for p >= 1.  The corrected odd form takes (upper, sign) = (2n, 1), the
+    corrected even form (2n+1, -1).
+    """
+    row = stirling2_row(upper)
+    acc = sum(
+        (
+            Fraction(sign * (-1) ** k * row[k + 1] * factorial(k + 1), k + p + 1)
+            for k in range(upper)
+        ),
+        Fraction(0),
+    )
+    return Fraction(p + 1, p) * acc
+
+
 def p_bernoulli_odd_explicit(n: int, p: int) -> Fraction:
     """Explicit odd-index formula:
 
@@ -184,14 +203,7 @@ def p_bernoulli_odd_explicit(n: int, p: int) -> Fraction:
         raise ValueError("requires p >= 1")
     if n < 1:
         raise ValueError("requires n >= 1")
-    acc = sum(
-        (
-            Fraction(stirling2(2 * n, k + 1) * (-1) ** k * factorial(k + 1), k + p + 1)
-            for k in range(2 * n)
-        ),
-        Fraction(0),
-    )
-    return Fraction(p + 1, p) * acc
+    return p_bernoulli_stirling_sum(2 * n, p, 1)
 
 
 def p_bernoulli_even_explicit(n: int, p: int) -> Fraction:
@@ -205,17 +217,7 @@ def p_bernoulli_even_explicit(n: int, p: int) -> Fraction:
         raise ValueError("requires p >= 1")
     if n < 1:
         raise ValueError("requires n >= 1")
-    acc = sum(
-        (
-            Fraction(
-                stirling2(2 * n + 1, k + 1) * (-1) ** (k + 1) * factorial(k + 1),
-                k + p + 1,
-            )
-            for k in range(2 * n + 1)
-        ),
-        Fraction(0),
-    )
-    return Fraction(p + 1, p) * acc
+    return p_bernoulli_stirling_sum(2 * n + 1, p, -1)
 
 
 def fubini_moment_parity(p: int, n: int) -> tuple[Fraction, Fraction]:

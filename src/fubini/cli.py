@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -31,7 +30,7 @@ from . import bernoulli_numbers as bn
 from . import combinat as cb
 from . import polynomials as fp
 from . import registry as rg
-from .exact import BiPoly, Poly, RatFunc, format_rational, parse_rational, poly_str, ratfunc_str
+from .exact import RatFunc, format_rational, parse_rational, ratfunc_str
 
 FORMATS = ("plain", "json", "csv")
 
@@ -40,19 +39,27 @@ class UsageError(Exception):
     pass
 
 
-# The options each compute object reads.  Any other option given to it is
-# a usage error, so a flag is never silently ignored.
-COMPUTE_OPTIONS = {
-    "stirling1": ("n", "k"),
-    "stirling2": ("n", "k"),
-    "binomial": ("n", "k"),
-    "fubini-number": ("n",),
-    "fubini-poly": ("n", "at"),
-    "fubini-two-var": ("n",),
-    "bernoulli": ("n",),
-    "p-bernoulli": ("n", "p"),
-    "apostol": ("n", "at"),
+# Each compute object: the parameters it reads, whether --at applies, and
+# the library call (looked up at call time).  Any other option given to an
+# object is a usage error, so a flag is never silently ignored.
+COMPUTE = {
+    "stirling1": (("n", "k"), False, lambda n, k: cb.stirling1_unsigned(n, k)),
+    "stirling2": (("n", "k"), False, lambda n, k: cb.stirling2(n, k)),
+    "binomial": (("n", "k"), False, lambda n, k: cb.binomial(n, k)),
+    "fubini-number": (("n",), False, lambda n: fp.fubini_number(n)),
+    "fubini-poly": (("n",), True, lambda n: fp.fubini_poly(n)),
+    "fubini-two-var": (("n",), False, lambda n: fp.fubini_two_var(n)),
+    "bernoulli": (("n",), False, lambda n: bn.bernoulli(n)),
+    "p-bernoulli": (("n", "p"), False, lambda n, p: bn.p_bernoulli(n, p)),
+    "apostol": (("n",), True, lambda n: ap.apostol_bernoulli(n)),
 }
+
+# The bound flags of `verify`, by Bounds field name.
+BOUND_FLAGS = ("n_max", "m_max", "k_max", "p_max", "samples")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _require(args, *names: str) -> list:
@@ -60,106 +67,43 @@ def _require(args, *names: str) -> list:
     for name in names:
         value = getattr(args, name, None)
         if value is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required here")
+            raise UsageError(f"{_flag(name)} is required here")
         values.append(value)
     return values
 
 
-def _json_value(value):
-    if isinstance(value, (int, Fraction)):
-        return format_rational(value)
-    if isinstance(value, Poly):
-        return value.to_strings()
-    if isinstance(value, BiPoly):
-        return value.to_strings()
-    if isinstance(value, RatFunc):
-        return value.to_strings()
-    raise TypeError(type(value).__name__)
-
-
 def _plain_value(value) -> str:
-    if isinstance(value, (int, Fraction)):
-        return format_rational(value)
-    if isinstance(value, Poly):
-        return poly_str(value, "y")
-    if isinstance(value, BiPoly):
-        return str(value)
-    if isinstance(value, RatFunc):
-        return ratfunc_str(value, "λ")
-    raise TypeError(type(value).__name__)
-
-
-def _csv_row(columns: list[str], row: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerow(row)
-    return buf.getvalue()
+    return ratfunc_str(value, "λ") if isinstance(value, RatFunc) else str(value)
 
 
 def _emit_compute(obj: str, params: dict, value, fmt: str) -> None:
     if fmt == "plain":
         print(_plain_value(value))
     elif fmt == "json":
-        payload = {
-            "object": obj,
-            "params": {k: rg._param_json(v) for k, v in sorted(params.items())},
-            "value": _json_value(value),
-        }
+        payload = {"object": obj, "params": rg.params_json(params), "value": rg.value_json(value)}
         print(json.dumps(payload))
     else:
-        names = sorted(params)
-        cell = _json_value(value)
+        cell = rg.value_json(value)
         if not isinstance(cell, str):
             cell = json.dumps(cell, separators=(",", ":"))
-        row = [str(rg._param_json(params[k])) for k in names] + [cell]
-        sys.stdout.write(_csv_row(names + ["value"], row))
+        columns = rg.params_json(params)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow([*columns, "value"])
+        writer.writerow([*map(str, columns.values()), cell])
 
 
 def cmd_compute(args) -> int:
-    obj = args.object
-    fmt = args.format
-    at: Optional[Fraction] = args.at
+    names, takes_at, call = COMPUTE[args.object]
+    accepted = names + ("at",) * takes_at
     for name in ("k", "p", "at"):
-        if getattr(args, name) is not None and name not in COMPUTE_OPTIONS[obj]:
-            raise UsageError(f"--{name} does not apply to {obj}")
-    if obj == "stirling1":
-        (n, k) = _require(args, "n", "k")
-        _emit_compute(obj, {"n": n, "k": k}, cb.stirling1_unsigned(n, k), fmt)
-    elif obj == "stirling2":
-        (n, k) = _require(args, "n", "k")
-        _emit_compute(obj, {"n": n, "k": k}, cb.stirling2(n, k), fmt)
-    elif obj == "binomial":
-        (n, k) = _require(args, "n", "k")
-        _emit_compute(obj, {"n": n, "k": k}, cb.binomial(n, k), fmt)
-    elif obj == "fubini-number":
-        (n,) = _require(args, "n")
-        _emit_compute(obj, {"n": n}, fp.fubini_number(n), fmt)
-    elif obj == "fubini-poly":
-        (n,) = _require(args, "n")
-        poly = fp.fubini_poly(n)
-        if at is not None:
-            _emit_compute(obj, {"n": n, "at": at}, poly(at), fmt)
-        else:
-            _emit_compute(obj, {"n": n}, poly, fmt)
-    elif obj == "fubini-two-var":
-        (n,) = _require(args, "n")
-        _emit_compute(obj, {"n": n}, fp.fubini_two_var(n), fmt)
-    elif obj == "bernoulli":
-        (n,) = _require(args, "n")
-        _emit_compute(obj, {"n": n}, bn.bernoulli(n), fmt)
-    elif obj == "p-bernoulli":
-        (n, p) = _require(args, "n", "p")
-        _emit_compute(obj, {"n": n, "p": p}, bn.p_bernoulli(n, p), fmt)
-    elif obj == "apostol":
-        (n,) = _require(args, "n")
-        func = ap.apostol_bernoulli(n)
-        if at is not None:
-            _emit_compute(obj, {"n": n, "at": at}, func(at), fmt)
-        else:
-            _emit_compute(obj, {"n": n}, func, fmt)
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown object {obj!r}")
+        if getattr(args, name) is not None and name not in accepted:
+            raise UsageError(f"--{name} does not apply to {args.object}")
+    params = dict(zip(names, _require(args, *names)))
+    value = call(*params.values())
+    if args.at is not None:
+        params["at"] = args.at
+        value = value(args.at)
+    _emit_compute(args.object, params, value, args.format)
     return 0
 
 
@@ -209,25 +153,16 @@ def _emit_table(family: str, columns: list[str], rows: list[list[str]], fmt: str
             print("".join(cell.ljust(width) for cell in row).rstrip())
 
 
-def _report_rows(reports) -> list[list[str]]:
-    rows = []
-    for r in reports:
-        params = json.dumps(
-            {k: rg._param_json(v) for k, v in sorted(r.params.items())},
-            separators=(",", ":"),
-        )
-        rows.append([r.identity, params, r.status, r.lhs, r.rhs, str(r.elapsed_us)])
-    return rows
-
-
 def _emit_reports_csv(reports) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["identity", "params", "status", "lhs", "rhs", "elapsed_us"])
-    writer.writerows(_report_rows(reports))
+    for r in reports:
+        params = json.dumps(rg.params_json(r.params), separators=(",", ":"))
+        writer.writerow([r.identity, params, r.status, r.lhs, r.rhs, str(r.elapsed_us)])
 
 
 def _params_plain(params: dict) -> str:
-    return " ".join(f"{k}={rg._param_json(v)}" for k, v in sorted(params.items()))
+    return " ".join(f"{k}={v}" for k, v in rg.params_json(params).items())
 
 
 def _emit_reports_plain(reports) -> None:
@@ -242,22 +177,16 @@ def cmd_verify(args) -> int:
     identity = args.identity_id
     if identity not in rg.REGISTRY:
         raise UsageError(f"unknown identity {identity!r}; see list-identities")
-    overrides = {
-        "n_max": args.n_max,
-        "m_max": args.m_max,
-        "k_max": args.k_max,
-        "p_max": args.p_max,
-        "samples": args.samples,
-    }
+    overrides = {name: getattr(args, name) for name in BOUND_FLAGS}
+    for name in BOUND_FLAGS:
+        if overrides[name] is not None and name not in rg.REGISTRY[identity].bounds_used:
+            raise UsageError(f"{_flag(name)} does not apply to {identity}")
     reports = rg.verify(identity, profile=args.profile, overrides=overrides)
-    failed = sum(1 for r in reports if r.status == rg.FAIL)
+    run = rg.VerificationRun(args.profile, tuple(reports))
     if args.format == "json":
         payload = {
             "identity": identity,
-            "total": len(reports),
-            "passed": sum(1 for r in reports if r.status == rg.PASS),
-            "failed": failed,
-            "skipped": sum(1 for r in reports if r.status == rg.SKIP),
+            **run.counts(),
             "reports": [r.to_json_dict() for r in reports],
         }
         print(json.dumps(payload))
@@ -265,8 +194,8 @@ def cmd_verify(args) -> int:
         _emit_reports_csv(reports)
     else:
         _emit_reports_plain(reports)
-        print(f"{identity}: {len(reports)} cases, {failed} failed")
-    return 1 if failed else 0
+        print(f"{identity}: {len(reports)} cases, {run.failed} failed")
+    return 0 if run.ok else 1
 
 
 def cmd_verify_all(args) -> int:
@@ -281,13 +210,10 @@ def cmd_verify_all(args) -> int:
             by_identity.setdefault(r.identity, []).append(r)
         for identity in sorted(by_identity):
             group = by_identity[identity]
-            counts = {
-                status: sum(1 for r in group if r.status == status)
-                for status in (rg.PASS, rg.FAIL, rg.SKIP)
-            }
+            counts = rg.VerificationRun(run.profile, tuple(group))
             print(
-                f"{identity:<26} pass={counts[rg.PASS]:>5}"
-                f" fail={counts[rg.FAIL]:>3} skip={counts[rg.SKIP]:>3}"
+                f"{identity:<26} pass={counts.passed:>5}"
+                f" fail={counts.failed:>3} skip={counts.skipped:>3}"
             )
             for r in group:
                 if r.status == rg.FAIL:
@@ -340,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="compute one value")
-    compute.add_argument("object", choices=list(COMPUTE_OPTIONS))
+    compute.add_argument("object", choices=list(COMPUTE))
     compute.add_argument("--n", type=int)
     compute.add_argument("--k", type=int)
     compute.add_argument("--p", type=int)

@@ -15,10 +15,6 @@ _stirling2_rows: list[tuple[int, ...]] = [(1,)]
 _stirling1_rows: list[tuple[int, ...]] = [(1,)]
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:

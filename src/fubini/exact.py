@@ -202,6 +202,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "Poly":
         return cls()
@@ -583,6 +586,9 @@ class BiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
 
+    def __reduce__(self):
+        return BiPoly, (self.rows,)
+
     @classmethod
     def zero(cls) -> "BiPoly":
         return cls()
@@ -590,14 +596,6 @@ class BiPoly:
     @classmethod
     def constant(cls, value: Scalar) -> "BiPoly":
         return cls([[value]])
-
-    @classmethod
-    def from_y_poly(cls, p: Poly) -> "BiPoly":
-        return _bipoly([list(p.numerators)], p.denominator)
-
-    @classmethod
-    def from_x_poly(cls, p: Poly) -> "BiPoly":
-        return _bipoly([[c] for c in p.numerators], p.denominator)
 
     @classmethod
     def outer(cls, px: Poly, py: Poly) -> "BiPoly":
@@ -818,6 +816,9 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
 
     @classmethod
     def zero(cls) -> "RatFunc":

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import factorial
 
-from .combinat import binomial, factorial, stirling2_row
+from .combinat import binomial, stirling2_row
 from .exact import BiPoly, Poly, Scalar
 
 BRUTEFORCE_CAP = 10

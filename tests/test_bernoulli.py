@@ -1,10 +1,11 @@
 """Bernoulli and p-Bernoulli numbers with their integral identities."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from fubini.combinat import factorial, stirling2
+from fubini.combinat import stirling2
 from fubini.bernoulli_numbers import (
     bernoulli,
     bernoulli_recurrence,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through real subprocesses."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,11 +12,97 @@ from pathlib import Path
 
 import pytest
 
+from fubini import cli
+
 REPO = Path(__file__).resolve().parent.parent
 
 # sha256 of `verify-all --profile full --format json` with every elapsed_us
 # removed: pins each value, status and the case order of the full report.
 FULL_REPORT_SHA256 = "ed4ae7cdd87f314670fa99595cfdc7e0af6dffc7380373e25a5b837c59cb83dd"
+# The same digest for `verify-all --profile quick --format json` (1304 cases).
+QUICK_REPORT_SHA256 = "c75767630cdafb6175acbe4b12ff370392b9732f054f22497410b2765a87dc7e"
+
+# sha256 of the output of each command in the plain, json and csv formats.
+# For `verify`, elapsed_us is removed first: from each json report, and as
+# the last csv column (the digest is then taken of the remaining rows as
+# JSON).  Pins every compute object, with --at where it applies.
+OUTPUT_SHA256 = {
+    "compute stirling1 --n 12 --k 5": (
+        "a86dee65a2ca647acb73887ad92150e48b1bc15d8ba62b36ea39ac4ad17e02db",
+        "756178af88037c8cb1fbc9787c3395d86f3fdeeff9de142d8e4cc1d8ab87ebfe",
+        "513c13e07c74a57a6b7c56da4321528b1ab3ea44502c692ab5498dd5f20bf63d",
+    ),
+    "compute stirling2 --n 12 --k 5": (
+        "ddbba01958204615769d749ffe161c2f3af279c2faa56d7bf0817ae7f25b066d",
+        "932ac21555614cb7cdc194e60471f038c7e05936990943218ebfece3b6871f3c",
+        "eb1c82837ebd6f897f2bf76befce4aff24a541c2d1b1a7c9141c21e4c4172875",
+    ),
+    "compute binomial --n 30 --k 11": (
+        "df9a59833ee1cad67920adc3033916d9e5e582041010bdaa36ee63fddd1bb90b",
+        "6746f0feec17bedc0add03c3997f0b7c10fd9a855d406448090f82ab7dd02ab3",
+        "d9c631d7030da9760de2c56c218d0e9fb409b002098ece56bb910f763ed8c85f",
+    ),
+    "compute fubini-number --n 20": (
+        "c45d3d76aa9056db6b384b474f727b074a6abd2015f699cf6e4062f74087f14a",
+        "70e3303c439ce3782e9b431933d23fe0faea19f541f65ac324e1cacfad8d18b9",
+        "8f3f94f9500e3a0dbc172890189cfa4f189d66184dd061727c73072d968ba0a9",
+    ),
+    "compute fubini-poly --n 12": (
+        "e953749c5c80d63f91f4888cf27b37090c4f90ceb96219aea6a36b232c0258e2",
+        "3a40ce19e8e455d6c4d1068e763f0273f3356a121e11ce23ba2bbdd211767cdb",
+        "84ce25d37b568de1b431bbc4352f4274c768c882bc0627ecd66453d40ce6c8be",
+    ),
+    "compute fubini-poly --n 12 --at -3/7": (
+        "c3abe59760689b1d9893922486fb148da69a5e1186acdf3924f0c341aa40a642",
+        "d8de62a44da6085a9a508eb189fe8722f20e6e2a9f9423e22e620d1124efb902",
+        "d50d5d4666c2677b4b872437d49d083ee5c7e37b7894a9a37a5fa5b695b00455",
+    ),
+    "compute fubini-two-var --n 6": (
+        "3c6f678ad62494cdadcde11c35f947f686b3775cd09b6ecd414e227fde3b12cb",
+        "775733c2939d637988b5e19a4a06152ddcef6af07e5cfebb1a45515e73794dc4",
+        "0642dc3237e8a840a42c86f556c9e7078751f99a98aa65e0183a93d5dfc9bebb",
+    ),
+    "compute bernoulli --n 24": (
+        "589fda1f3ebce1653489209b3a9d1eb6ab72c411085ef7064707209b6acdc310",
+        "2fdc8487f8bba0428abc44ca7ea3caba9098eddc44a26f8e5e80a46c7c39b4ea",
+        "25c52deeac28bcd18c41bc52a36a2a5dc5fff3e9b9d110ff9a20ef5d28c4d4e0",
+    ),
+    "compute p-bernoulli --n 9 --p 4": (
+        "aa3526daefdeea483ef8b0203b5f066035c087eeb84ec41a240dfea9d1fbb1e0",
+        "d87b9d95db1128ddea68bb4b0f033f3a3e8247dd8d4cecbabb4ffda538498f79",
+        "cb0e455f837ef3f0f609eae5ebade6a4f2cbf4abdba4c8585742f945d76aca95",
+    ),
+    "compute apostol --n 6": (
+        "89f7cff27298edeb4215246fe667c48cdbcfee7b2f0e7fef3277d68c397ecaf8",
+        "6e27927689f2d5dd99b7af8b6bd20963bb5cd10b5e6fc155dbecfcf941809c11",
+        "d470d1f6117cf8687be3bffe175d6d3fe46a6b3e77867df0d1b29d1a52450e5d",
+    ),
+    "compute apostol --n 6 --at 5/2": (
+        "520837fb576168262c3fa83529e114c3c382305211cb4dc35d51a1ed57b40cd4",
+        "f3af8b03d74a0436d91d419bbafc5ab1696b2747d146e5f21ca3a3d48383dda5",
+        "5825eced549e41505d2bc7f07d5bccfeac2cdb870622a596485bff8790f9821b",
+    ),
+    "compute apostol --n 20": (
+        "e8f63f41ec8beef46300cedcecf46d0353838ffbc10a0d6fc26fa59b51925bac",
+        "2d6267c76c46a6776a94f69508d8e15ed354f457910c42998c5c68a5a0ffcc54",
+        "1cae182bd26854d20037edd97f41dc8f244e40bcb9ad1d3cf2c1d157bbe61a5f",
+    ),
+    "verify eq24_corrected_split": (
+        "6fe437a1331cdcb792c07789b9d9766ba5ef28f1f95c9a37b225f785bc9bf81c",
+        "6c5461e9f09229a7b7ffd0c39d1b0d395c36fc9ce0c3d9721fb99861b08614a0",
+        "67e554d0de6796936f67c6fad1eeaaae2f96afc87ce88f261bb2ad81fd2f19c0",
+    ),
+    "list-identities": (
+        "a5e0d377b8998fe2419e7d5e134fcc8228370bbd3316db0b774a9b475c53330b",
+        "c1b0b45138015244a157534c6327fd184421a5abbf2c40abbb1674e66e7510fc",
+        "6a8759f3fc1f9ff4bb12259e884357b95da9eeb75de79fa6de5838eefcdf8b08",
+    ),
+    "table p-bernoulli --n-max 6 --p-max 3": (
+        "f0018e1f47a09a93797ee66e30e5a5020c5b2cbaca806f0861f8cc14fc7663b8",
+        "27ccee6e1c9e3e69615a572cca376c1a6f09c50ed8e2c1c280d44ce794f6448e",
+        "e4a9e848f2ce00f77120afa4f78900c1c90136aaf0569db9a13316836f356ab4",
+    ),
+}
 
 
 def run_cli(*args: str):
@@ -217,6 +304,15 @@ class TestVerifyCommands:
         assert out == ""
         assert "samples must be between 1 and 25" in err
 
+    @pytest.mark.parametrize(
+        "identity, flag", [("eq26_integral", "--k-max"), ("eq33_lemma2", "--samples")]
+    )
+    def test_unused_bound_flag_is_usage_error(self, identity, flag):
+        code, out, err = run_cli("verify", identity, flag, "3")
+        assert code == 2
+        assert out == ""
+        assert f"{flag} does not apply to {identity}" in err
+
     def test_full_report_digest(self):
         code, out, _ = run_cli("verify-all", "--profile", "full", "--format", "json")
         assert code == 0
@@ -224,6 +320,15 @@ class TestVerifyCommands:
         for r in doc["reports"]:
             del r["elapsed_us"]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == FULL_REPORT_SHA256
+
+    def test_quick_report_digest(self):
+        code, out, _ = run_cli("verify-all", "--profile", "quick", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["reports"]) == 1304
+        for r in doc["reports"]:
+            del r["elapsed_us"]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == QUICK_REPORT_SHA256
 
     def test_unknown_identity_is_usage_error(self):
         code, _, err = run_cli("verify", "eq_bogus")
@@ -246,3 +351,28 @@ class TestVerifyCommands:
     def test_list_identities_csv(self):
         code, out, _ = run_cli("list-identities", "--format", "csv")
         assert out.splitlines()[0] == "identity,corrected,statement"
+
+
+def _without_elapsed(out: str, fmt: str) -> str:
+    if fmt == "json":
+        doc = json.loads(out)
+        for r in doc["reports"]:
+            del r["elapsed_us"]
+        return json.dumps(doc)
+    if fmt == "csv":
+        return json.dumps([row[:-1] for row in csv.reader(io.StringIO(out))])
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_output_digests(command):
+    digests = []
+    for fmt in ("plain", "json", "csv"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(command.split() + ["--format", fmt]) == 0
+        out = buf.getvalue()
+        if command.startswith("verify"):
+            out = _without_elapsed(out, fmt)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == OUTPUT_SHA256[command]

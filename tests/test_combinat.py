@@ -1,6 +1,7 @@
 """Stirling triangles, binomials and the convolution identities."""
 
 import math
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from fubini.combinat import (
     alternating_stirling_convolution,
     binomial,
-    factorial,
     stirling1_row,
     stirling1_signed,
     stirling1_unsigned,

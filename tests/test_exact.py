@@ -1,6 +1,8 @@
 """Exact scalar, polynomial and rational-function arithmetic."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -353,6 +355,26 @@ class TestIntegerStorage:
         assert hash(Poly([Fraction(c) for c in a])) == hash(p)
         assert (p + q) - q == p and hash((p + q) - q) == hash(p)
         assert hash(p * q) == hash(q * p)
+
+    @given(mixed_lists(), nonzero_polys(3), mixed_grids())
+    def test_values_survive_pickle_and_copy(self, a, den, grid):
+        originals = (Poly(a), RatFunc(Poly(a), den), BiPoly(grid))
+        for value in originals:
+            for clone in (
+                pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+            ):
+                assert type(clone) is type(value)
+                assert clone == value and hash(clone) == hash(value)
+                if isinstance(value, RatFunc):
+                    pairs = ((clone.num, value.num), (clone.den, value.den))
+                else:
+                    pairs = ((clone, value),)
+                for c, v in pairs:
+                    assert (c.numerators, c.denominator) == (v.numerators, v.denominator)
+                    if isinstance(c, Poly):
+                        assert_canonical_poly(c)
+                    else:
+                        assert_canonical_bipoly(c)
 
     def test_inexact_scalars_are_rejected(self):
         with pytest.raises(TypeError):

@@ -1,12 +1,12 @@
 """Fubini polynomial family: constructions, routes, special values."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fubini.combinat import factorial
 from fubini.exact import BiPoly, Poly
 from fubini.polynomials import (
     fubini_number,

@@ -57,8 +57,27 @@ class TestCatalogContents:
     def test_default_grids_select_cases(self):
         for entry in rg.list_identities():
             for bounds in (entry.quick, entry.full):
-                assert 1 <= bounds.samples <= len(rg.SAMPLE_GRID)
+                if bounds.samples:
+                    assert 1 <= bounds.samples <= len(rg.SAMPLE_GRID)
                 assert entry.cases(bounds), entry.identity_id
+
+    def test_profiles_read_the_same_bounds(self):
+        for entry in rg.list_identities():
+            assert entry.quick.used() == entry.full.used(), entry.identity_id
+
+    def test_catalog_size(self):
+        entries = rg.list_identities()
+        assert len(entries) == 41
+        assert {e.identity_id for e in entries if e.corrected} == CORRECTED_IDS
+        for profile, total in (("quick", 1304), ("full", 6858)):
+            bounds = [e.quick if profile == "quick" else e.full for e in entries]
+            assert sum(len(e.cases(b)) for e, b in zip(entries, bounds)) == total
+
+    def test_witness_params_carry_printed(self):
+        for identity in CORRECTED_IDS:
+            entry = rg.REGISTRY[identity]
+            printed = [c for c in entry.cases(entry.quick) if "printed" in c]
+            assert printed == [{**params, "printed": 1} for params, _ in entry.witnesses]
 
 
 class TestVerify:
@@ -105,6 +124,13 @@ class TestVerify:
     def test_samples_outside_grid_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
             rg.verify("ab_split", overrides={"samples": samples})
+
+    @pytest.mark.parametrize(
+        "identity, bound", [("eq26_integral", "k_max"), ("eq33_lemma2", "samples")]
+    )
+    def test_unused_bound_is_rejected(self, identity, bound):
+        with pytest.raises(ValueError, match=f"{bound} does not apply to {identity}"):
+            rg.verify(identity, overrides={bound: 3})
 
     def test_overrides_beyond_enumeration_cap_skip(self):
         reports = rg.verify("eq14_enumeration", overrides={"n_max": 12, "aux_max": 0})

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import stirling  # noqa: E402
 
+from fubini.apostol import apostol_bernoulli  # noqa: E402
 from fubini.bernoulli_numbers import bernoulli  # noqa: E402
 from fubini.combinat import stirling1_unsigned, stirling2  # noqa: E402
-from fubini.exact import Poly  # noqa: E402
+from fubini.exact import Poly, RatFunc  # noqa: E402
 
 STIRLING_N_MAX = 40
 BERNOULLI_N_MAX = 60
@@ -67,3 +68,21 @@ def test_poly_products_match(a, b):
 @given(small_coefficient_lists, st.lists(coefficients, max_size=3))
 def test_poly_compose_matches(a, b):
     assert Poly(a).compose(Poly(b)) == from_sympy(to_sympy(a).compose(to_sympy(b)))
+
+
+APOSTOL_N_MAX = 12
+LAM, T = sympy.symbols("lam t")
+
+
+def test_apostol_functions_match_the_generating_function():
+    # AB_n(lam) = n! [t^n] t / (lam e^t - 1): the series route shares
+    # nothing with the direct sum, the Fubini substitution or the
+    # alternating form.
+    series = sympy.series(T / (LAM * sympy.exp(T) - 1), T, 0, APOSTOL_N_MAX + 1).removeO()
+    for n in range(APOSTOL_N_MAX + 1):
+        num, den = sympy.fraction(sympy.cancel(sympy.factorial(n) * series.coeff(T, n)))
+        expected = RatFunc(
+            from_sympy(sympy.Poly(num, LAM, domain="QQ")),
+            from_sympy(sympy.Poly(den, LAM, domain="QQ")),
+        )
+        assert apostol_bernoulli(n) == expected, n
