@@ -109,30 +109,24 @@ def cmd_compute(args) -> int:
 
 def cmd_table(args) -> int:
     family = args.family
-    fmt = args.format
-    n_max = args.n_max
-    if n_max is None:
-        raise UsageError("--n-max is required here")
-    if family == "bernoulli":
-        values = [bn.bernoulli(n) for n in range(n_max + 1)]
-        _emit_table(family, ["n", "value"],
-                    [[str(n), format_rational(v)] for n, v in enumerate(values)], fmt)
-    elif family == "fubini":
-        values = [fp.fubini_number(n) for n in range(n_max + 1)]
-        _emit_table(family, ["n", "value"],
-                    [[str(n), str(v)] for n, v in enumerate(values)], fmt)
-    elif family == "p-bernoulli":
-        p_max = args.p_max
-        if p_max is None:
-            raise UsageError("--p-max is required here")
+    if family == "p-bernoulli":
+        n_max, p_max = _require(args, "n_max", "p_max")
+        columns = ["n", "p", "value"]
         rows = [
             [str(n), str(p), format_rational(bn.p_bernoulli(n, p))]
             for n in range(n_max + 1)
             for p in range(p_max + 1)
         ]
-        _emit_table(family, ["n", "p", "value"], rows, fmt)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown table {family!r}")
+    else:
+        if args.p_max is not None:
+            raise UsageError(f"--p-max does not apply to {family}")
+        (n_max,) = _require(args, "n_max")
+        value = bn.bernoulli if family == "bernoulli" else fp.fubini_number
+        columns = ["n", "value"]
+        rows = [[str(n), format_rational(value(n))] for n in range(n_max + 1)]
+    if not rows:
+        raise UsageError(f"the bounds select no case of {family}")
+    _emit_table(family, columns, rows, args.format)
     return 0
 
 

@@ -257,6 +257,28 @@ class TestTable:
         assert code == 0
         assert "1,1,-1/3" in out.splitlines()
 
+    @pytest.mark.parametrize("family", ["bernoulli", "fubini"])
+    def test_p_max_on_a_family_without_p_is_usage_error(self, family):
+        code, out, err = run_cli("table", family, "--n-max", "2", "--p-max", "5")
+        assert code == 2
+        assert out == ""
+        assert f"--p-max does not apply to {family}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fubini", "--n-max", "-3"),
+            ("bernoulli", "--n-max", "-1"),
+            ("p-bernoulli", "--n-max", "-1", "--p-max", "2"),
+            ("p-bernoulli", "--n-max", "2", "--p-max", "-1"),
+        ],
+    )
+    def test_empty_range_is_usage_error(self, argv):
+        code, out, err = run_cli("table", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"the bounds select no case of {argv[0]}" in err
+
 
 class TestVerifyCommands:
     def test_verify_single_identity(self):
@@ -312,6 +334,22 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert f"{flag} does not apply to {identity}" in err
+
+    def test_quadrature_oracle_imports_neither_scipy_nor_numpy(self):
+        probe = (
+            "import sys\n"
+            "from fubini import cli\n"
+            "code = cli.main(['verify', 'ab_quadrature_oracle'])\n"
+            "print(code, sorted(m for m in sys.modules"
+            " if m.partition('.')[0] in ('scipy', 'numpy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=REPO
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ab_quadrature_oracle: 6 cases, 0 failed" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_full_report_digest(self):
         code, out, _ = run_cli("verify-all", "--profile", "full", "--format", "json")
