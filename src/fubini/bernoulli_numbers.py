@@ -11,35 +11,37 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add, mul
 
 from .combinat import binomial, stirling1_unsigned, stirling2_row
 from .exact import Poly
 from .polynomials import fubini_poly
 
 _lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = []
+_bernoulli_cache: dict[int, Fraction] = {}
+# B_0.. by the binomial recurrence, and the same values as integer numerators
+# over their least common denominator; as B_0 = 1, nums[0] is that denominator.
 _recurrence_cache: list[Fraction] = [Fraction(1)]
+_recurrence_nums: list[int] = [1]
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n = sum_k S2(n,k) * (-1)^k * k! / (k+1)."""
+    """B_n = sum_k S2(n,k) * (-1)^k * k! / (k+1), one integer sum over lcm(1..n+1)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    if n < len(_bernoulli_cache):
-        return _bernoulli_cache[n]
+    value = _bernoulli_cache.get(n)
+    if value is not None:
+        return value
     with _lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            row = stirling2_row(m)
-            value = sum(
-                (
-                    Fraction(row[k] * (-1) ** k * factorial(k), k + 1)
-                    for k in range(m + 1)
-                ),
-                Fraction(0),
-            )
-            _bernoulli_cache.append(value)
+        if n not in _bernoulli_cache:
+            den = lcm(*range(1, n + 2))
+            num, factorial_k = 0, 1
+            for k, s in enumerate(stirling2_row(n)):
+                term = s * factorial_k * (den // (k + 1))
+                num += -term if k % 2 else term
+                factorial_k *= k + 1
+            _bernoulli_cache[n] = Fraction(num, den)
     return _bernoulli_cache[n]
 
 
@@ -53,13 +55,19 @@ def bernoulli_recurrence(n: int) -> Fraction:
     if n < len(_recurrence_cache):
         return _recurrence_cache[n]
     with _lock:
-        while len(_recurrence_cache) <= n:
-            m = len(_recurrence_cache)
-            acc = sum(
-                (binomial(m + 1, k) * _recurrence_cache[k] for k in range(m)),
-                Fraction(0),
-            )
-            _recurrence_cache.append(-acc / (m + 1))
+        nums = _recurrence_nums
+        m = len(nums)
+        pascal = [binomial(m + 1, k) for k in range(m + 2)]
+        while m <= n:
+            # pascal holds C(m+1, k) for k = 0..m+1.
+            value = Fraction(-sum(map(mul, pascal, nums)), nums[0] * (m + 1))
+            scale = value.denominator // gcd(nums[0], value.denominator)
+            if scale != 1:
+                nums[:] = [c * scale for c in nums]
+            nums.append(value.numerator * (nums[0] // value.denominator))
+            _recurrence_cache.append(value)
+            pascal = [*map(add, pascal + [0], [0] + pascal)]
+            m += 1
     return _recurrence_cache[n]
 
 

@@ -19,6 +19,7 @@ field of verification reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -317,17 +318,33 @@ def _merge_at_values(argv: list[str]) -> list[str]:
     return merged
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    # Exact values may have more digits than Python's default int <-> str
+    # limit (4300) allows; lift it while the CLI runs, and only then.
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_at_values(list(argv)))
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    with _unlimited_int_digits():
+        args = parser.parse_args(_merge_at_values(list(argv)))
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        except (ValueError, ZeroDivisionError) as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -1,61 +1,61 @@
 """Stirling numbers of both kinds, binomials, and their matrix identities.
 
-Triangles are grown row by row from the defining recurrences and memoized.
-The signed first kind is a derived view of the unsigned triangle, never a
-second table.
+Triangles are grown row by row from the defining recurrences; rows up to
+MEMO_ROWS are memoized.  The signed first kind is a derived view of the
+unsigned triangle, never a second table.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from itertools import repeat
+from operator import add, mul
+
+MEMO_ROWS = 64  # the highest memoized row; the full catalog reads up to 41
 
 _lock = threading.Lock()
 _stirling2_rows: list[tuple[int, ...]] = [(1,)]
 _stirling1_rows: list[tuple[int, ...]] = [(1,)]
+_cursor: dict[int, tuple[int, ...]] = {}  # last row above MEMO_ROWS, by memo id
 
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _row(rows: list[tuple[int, ...]], weights, n: int) -> tuple[int, ...]:
+    """Row n of the triangle T(m, k) = weights(m)[k] * T(m-1, k) + T(m-1, k-1).
+
+    A row above MEMO_ROWS is not stored: it is rolled forward from the last
+    such row built if that is not past n, else from the memo's last row.
+    """
+    if n < 0:
+        raise ValueError("row index must be non-negative")
+    with _lock:
+        row = _cursor.get(id(rows), rows[-1])
+        row = row if len(row) <= n + 1 else rows[-1]
+        while len(row) <= n:
+            m = len(row)
+            row = tuple(map(add, map(mul, weights(m), row + (0,)), (0,) + row))
+            if m == len(rows) <= MEMO_ROWS:
+                rows.append(row)
+        if n > MEMO_ROWS:
+            _cursor[id(rows)] = row
+    return rows[n] if n < len(rows) else row
 
 
 def stirling2_row(n: int) -> tuple[int, ...]:
     """Row n of the second-kind Stirling triangle, entries k = 0..n."""
-    if n < 0:
-        raise ValueError("row index must be non-negative")
-    if n < len(_stirling2_rows):
-        return _stirling2_rows[n]
-    with _lock:
-        while len(_stirling2_rows) <= n:
-            prev = _stirling2_rows[-1]
-            m = len(_stirling2_rows)
-            row = tuple(
-                k * (prev[k] if k < m else 0) + (prev[k - 1] if k >= 1 else 0)
-                for k in range(m + 1)
-            )
-            _stirling2_rows.append(row)
-    return _stirling2_rows[n]
+    rows = _stirling2_rows
+    return rows[n] if 0 <= n < len(rows) else _row(rows, lambda m: range(m + 1), n)
 
 
 def stirling1_row(n: int) -> tuple[int, ...]:
     """Row n of the unsigned first-kind Stirling triangle, entries k = 0..n."""
-    if n < 0:
-        raise ValueError("row index must be non-negative")
-    if n < len(_stirling1_rows):
-        return _stirling1_rows[n]
-    with _lock:
-        while len(_stirling1_rows) <= n:
-            prev = _stirling1_rows[-1]
-            m = len(_stirling1_rows)
-            row = tuple(
-                (m - 1) * (prev[k] if k < m else 0) + (prev[k - 1] if k >= 1 else 0)
-                for k in range(m + 1)
-            )
-            _stirling1_rows.append(row)
-    return _stirling1_rows[n]
+    rows = _stirling1_rows
+    return rows[n] if 0 <= n < len(rows) else _row(rows, lambda m: repeat(m - 1), n)
 
 
 def stirling2(n: int, k: int) -> int:

@@ -28,8 +28,11 @@ def fubini_poly(n: int) -> Poly:
     """F_n(y) from the Stirling triangle: sum_k S2(n,k) * k! * y^k."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    row = stirling2_row(n)
-    return Poly([row[k] * factorial(k) for k in range(n + 1)])
+    coeffs, factorial_k = [], 1
+    for k, s in enumerate(stirling2_row(n)):
+        coeffs.append(s * factorial_k)
+        factorial_k *= k + 1
+    return Poly(coeffs)
 
 
 def fubini_poly_recurrence(n: int) -> Poly:

@@ -3,15 +3,17 @@
 Each oracle recomputes a quantity by literal enumeration or by a
 classical algorithm that shares no code path with the library: set
 partitions are generated as explicit block structures, cycle counts come
-from itertools.permutations, binomials from Pascal's triangle, Bernoulli
-numbers from the Akiyama-Tanigawa scheme, polynomial gcds from Euclid's
-algorithm over Q, and polynomial arithmetic from schoolbook formulas on
-plain lists of Fraction coefficients.
+from itertools.permutations, large Stirling numbers from the explicit
+alternating sum and the rising-factorial product, binomials from
+Pascal's triangle, Bernoulli numbers from the Akiyama-Tanigawa scheme,
+polynomial gcds from Euclid's algorithm over Q, and polynomial arithmetic
+from schoolbook formulas on plain lists of Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -76,6 +78,24 @@ def pascal_triangle(n_max: int) -> list[list[int]]:
         rows.append(
             [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
         )
+    return rows
+
+
+def stirling2_explicit(n: int, k: int) -> int:
+    """S2(n, k) from k! * S2(n, k) = sum_j (-1)^(k-j) * C(k, j) * j^n."""
+    total = sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1))
+    quotient, remainder = divmod(total, math.factorial(k))
+    assert remainder == 0
+    return quotient
+
+
+def rising_factorial_rows(n_max: int) -> list[list[int]]:
+    """rows[n] = coefficients of x(x+1)...(x+n-1), lowest power first."""
+    rows = [[1]]
+    for j in range(n_max):
+        # (x + j) * p(x) = x * p(x) + j * p(x)
+        prev = rows[-1]
+        rows.append([a + b for a, b in zip([0] + prev, [j * c for c in prev] + [0])])
     return rows
 
 

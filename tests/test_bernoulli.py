@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from fubini import bernoulli_numbers
 from fubini.combinat import stirling2
 from fubini.bernoulli_numbers import (
     bernoulli,
@@ -42,8 +43,25 @@ class TestBernoulli:
             assert bernoulli(2 * k + 1) == 0
 
     def test_recurrence_route(self):
-        for n in range(31):
-            assert bernoulli_recurrence(n) == bernoulli(n)
+        for n in range(151):
+            assert bernoulli_recurrence(n) == bernoulli(n), n
+
+    def test_cold_values_match_the_recurrence(self, monkeypatch):
+        # Each B_n is built with no smaller index in the memo.
+        monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+        for n in range(150, -1, -1):
+            assert bernoulli(n) == bernoulli_recurrence(n), n
+
+    def test_recurrence_reads_no_stirling_number(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the recurrence route must stay independent")
+
+        monkeypatch.setattr(bernoulli_numbers, "_recurrence_cache", [Fraction(1)])
+        monkeypatch.setattr(bernoulli_numbers, "_recurrence_nums", [1])
+        monkeypatch.setattr(bernoulli_numbers, "stirling2_row", forbidden)
+        monkeypatch.setattr(bernoulli_numbers, "bernoulli", forbidden)
+        assert bernoulli_recurrence(40) == Fraction(-261082718496449122051, 13530)
+        assert bernoulli_recurrence(12) == Fraction(-691, 2730)
 
     def test_integral_route(self):
         assert bernoulli_via_integral(1) == Fraction(-1, 2)

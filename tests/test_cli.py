@@ -5,9 +5,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -414,3 +416,71 @@ def test_output_digests(command):
             out = _without_elapsed(out, fmt)
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == OUTPUT_SHA256[command]
+
+
+# A rational whose numerator and denominator have more digits than Python's
+# default int <-> str limit (4300).  Their decimal forms are written out
+# directly, so the test itself needs no lifted limit; gcd(HUGE_NUM,
+# HUGE_DEN) = gcd(HUGE_NUM, 7) = 1.
+HUGE_NUM, HUGE_NUM_TEXT = 10**5000 + 1, "1" + "0" * 4999 + "1"
+HUGE_DEN, HUGE_DEN_TEXT = 10**5001 + 3, "1" + "0" * 5000 + "3"
+HUGE_TEXT = f"{HUGE_NUM_TEXT}/{HUGE_DEN_TEXT}"
+
+
+def _main_output(argv: list[str]) -> str:
+    buf = io.StringIO()
+    limit = sys.get_int_max_str_digits()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    assert sys.get_int_max_str_digits() == limit
+    return buf.getvalue()
+
+
+def _only_value(out: str, fmt: str) -> str:
+    if fmt == "json":
+        doc = json.loads(out)
+        return doc["value"] if "value" in doc else doc["rows"][-1][-1]
+    if fmt == "csv":
+        return list(csv.reader(io.StringIO(out)))[-1][-1]
+    return out.split()[-1]
+
+
+class TestValuesBeyondTheDigitLimit:
+    def test_library_keeps_the_default_limit(self):
+        with pytest.raises(ValueError):
+            str(HUGE_NUM)
+
+    def test_limit_is_restored_after_a_usage_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "bernoulli"])
+        assert exc.value.code == 2
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_compute_prints_a_huge_integer(self, fmt):
+        # C(17000, 8500) has 5115 digits.
+        out = _main_output(["compute", "binomial", "--n", "17000", "--k", "8500", "--format", fmt])
+        text = _only_value(out, fmt)
+        assert len(text) >= 5000
+        lifted = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(text) == math.comb(17000, 8500)
+        finally:
+            sys.set_int_max_str_digits(lifted)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_compute_prints_a_huge_rational(self, fmt, monkeypatch):
+        monkeypatch.setattr(cli.bn, "bernoulli", lambda n: Fraction(HUGE_NUM, HUGE_DEN))
+        out = _main_output(["compute", "bernoulli", "--n", "3", "--format", fmt])
+        assert _only_value(out, fmt) == HUGE_TEXT
+
+    @pytest.mark.parametrize("family", ["bernoulli", "fubini"])
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_table_prints_huge_values(self, family, fmt, monkeypatch):
+        monkeypatch.setattr(cli.bn, "bernoulli", lambda n: Fraction(HUGE_NUM, HUGE_DEN))
+        monkeypatch.setattr(cli.fp, "fubini_number", lambda n: HUGE_NUM)
+        out = _main_output(["table", family, "--n-max", "2", "--format", fmt])
+        expected = HUGE_TEXT if family == "bernoulli" else HUGE_NUM_TEXT
+        assert _only_value(out, fmt) == expected

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fubini import combinat
 from fubini.combinat import (
+    MEMO_ROWS,
     alternating_stirling_convolution,
     binomial,
     stirling1_row,
@@ -19,7 +21,13 @@ from fubini.combinat import (
     stirling_inverse_sum,
 )
 
-from oracles import count_partitions_by_blocks, count_permutations_by_cycles, pascal_triangle
+from oracles import (
+    count_partitions_by_blocks,
+    count_permutations_by_cycles,
+    pascal_triangle,
+    rising_factorial_rows,
+    stirling2_explicit,
+)
 
 
 class TestStirlingSecond:
@@ -141,3 +149,38 @@ def test_negative_indices_rejected():
 def test_triangle_rows_are_consistent_with_math_comb():
     assert stirling2_row(6) == (0, 1, 31, 90, 65, 15, 1)
     assert math.comb(6, 3) == binomial(6, 3)
+
+
+# Rows above the memo are rolled forward from a cursor; these orders make the
+# cursor step forward, restart from the memo, and jump back and forth.
+HIGH_ROWS = range(MEMO_ROWS + 1, 151)
+RISING_FACTORIALS = rising_factorial_rows(150)
+ROW_ORDERS = {
+    "ascending": list(HIGH_ROWS),
+    "descending": list(reversed(HIGH_ROWS)),
+    "interleaved": [n for pair in zip(HIGH_ROWS, reversed(HIGH_ROWS)) for n in pair],
+}
+
+
+class TestRowsAboveTheMemo:
+    def test_memo_covers_the_catalog(self):
+        assert MEMO_ROWS >= 41
+
+    @pytest.mark.parametrize("order", sorted(ROW_ORDERS))
+    def test_second_kind_rows_match_the_explicit_sum(self, order):
+        for n in ROW_ORDERS[order]:
+            row = stirling2_row(n)
+            assert len(row) == n + 1
+            for k in {0, 1, 2, n // 3, n // 2, n - 2, n - 1, n}:
+                assert row[k] == stirling2_explicit(n, k), (n, k)
+
+    @pytest.mark.parametrize("order", sorted(ROW_ORDERS))
+    def test_first_kind_rows_match_the_rising_factorial(self, order):
+        for n in ROW_ORDERS[order]:
+            assert list(stirling1_row(n)) == RISING_FACTORIALS[n], n
+
+    def test_rows_above_the_memo_are_not_stored(self):
+        stirling2_row(500)
+        stirling1_row(500)
+        assert len(combinat._stirling2_rows) <= MEMO_ROWS + 1
+        assert len(combinat._stirling1_rows) <= MEMO_ROWS + 1

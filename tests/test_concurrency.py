@@ -1,37 +1,50 @@
 """Memoized tables must look compute-once to concurrent readers."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from fubini import bernoulli_numbers
 from fubini.apostol import apostol_bernoulli
-from fubini.bernoulli_numbers import bernoulli
-from fubini.combinat import stirling1_row, stirling2_row
+from fubini.bernoulli_numbers import bernoulli, bernoulli_recurrence
+from fubini.combinat import MEMO_ROWS, stirling1_row, stirling2_row
 from fubini.polynomials import fubini_poly_recurrence, fubini_two_var
 
+# Indices above the Stirling memo.  Their rows are rolled forward from a
+# shared cursor, so threads asking for different ones move it back and forth.
+HIGH = [MEMO_ROWS + 1 + 13 * i for i in range(4)]
 
-def test_concurrent_readers_see_single_threaded_values():
-    expected = {
+
+def _read_all(seed: int) -> dict:
+    n = HIGH[seed % len(HIGH)]
+    return {
         "s2": stirling2_row(120),
         "s1": stirling1_row(120),
         "bern": bernoulli(60),
         "fub": fubini_poly_recurrence(50),
         "two": fubini_two_var(25),
         "ab": apostol_bernoulli(22),
+        "s2_high": stirling2_row(n),
+        "s1_high": stirling1_row(n),
+        "bern_high": bernoulli(n),
     }
 
-    def worker(seed: int):
-        return {
-            "s2": stirling2_row(120),
-            "s1": stirling1_row(120),
-            "bern": bernoulli(60),
-            "fub": fubini_poly_recurrence(50),
-            "two": fubini_two_var(25),
-            "ab": apostol_bernoulli(22),
-        }
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(worker, range(16)))
-    for result in results:
-        assert result == expected
+def test_concurrent_readers_see_single_threaded_values(monkeypatch):
+    expected = [_read_all(seed) for seed in range(len(HIGH))]
+    # The threads then build every Bernoulli number again, racing each other.
+    monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+    for seed, values in enumerate(expected):
+        assert values["bern_high"] == bernoulli_recurrence(HIGH[seed])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the row steps too
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(_read_all, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, result in enumerate(results):
+        assert result == expected[seed % len(HIGH)]
 
 
 def test_cached_values_are_shared_not_recomputed():
