@@ -9,6 +9,7 @@ Subcommands:
 * ``verify <identity-id>`` runs one catalog entry over its grid.
 * ``verify-all --profile quick|full`` runs the whole catalog.
 * ``list-identities`` prints the catalog.
+* ``catalog`` prints the catalog document, ``docs/identities.md``.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
 error (unknown object/identity, missing or invalid parameters).  Output
@@ -246,6 +247,101 @@ def cmd_list_identities(args) -> int:
     return 0
 
 
+CATALOG_HEADER = """\
+# Identity catalog
+
+Every identity this package verifies is registered under a stable id in
+`fubini.registry`.  `fubini verify <id>` runs one entry over its
+parameter grid; `fubini verify-all --profile quick|full` runs the whole
+catalog.  This document is generated by `fubini catalog` and
+is kept in sync with the registry by the test suite.
+
+Notation: `F_n(y)` is the Fubini polynomial, `F_n` the Fubini number
+`F_n(1)`, `F_n(x;y)` the two-variable polynomial, `S2`/`S1u` the
+Stirling numbers of the second and (unsigned) first kind, `C(n,k)` the
+binomial coefficient, `B_n` the Bernoulli numbers (convention
+`B_1 = -1/2`), `B_{n,p}` the two-index Bernoulli family, and `AB_n(lam)`
+the index-n Apostol-Bernoulli rational function.
+
+Pointwise entries evaluate both sides on a fixed grid of 25 rational
+sample points (all `+/- p/q` with `p, q <= 7`), skipping an identity's
+singular points; those show up in reports as `skipped-precondition`.
+
+Corrected entries (marked below) implement a repaired form of an
+identity whose commonly printed variant fails machine verification.
+Each carries witness cases, reported with `printed: 1` in their
+parameters, that evaluate the uncorrected variant (`lhs`) against the
+true value (`rhs`) and pass exactly when the two differ, freezing the
+erratum as an executable fact.
+
+## Entries
+"""
+
+CATALOG_FOOTER = """\
+## Errata detail
+
+{errata}
+
+## How much the grid proves
+
+For a pointwise entry with index bound `n`, clearing denominators turns
+the identity into a polynomial identity of degree at most `2n + 2`.  A
+polynomial of degree `d` that vanishes at more than `d` points is zero,
+so for `n <= 11` the 25-point grid is a proof, not a sample.  For
+`12 <= n <= 15` the cleared degree can exceed 25 and the grid check is
+(extremely strong) evidence rather than a proof; the symbolic entries
+(`eq84_split` collapse cases, `eq4_shift`, `eq7_x1`, `eq9_xneg1`,
+`eq13_products_poly`, `eq18_two_var_reflection`, `eq21_explicit`) carry
+the coefficientwise proof burden where one exists.
+
+## Sample grid
+
+{grid}
+"""
+
+
+def _bounds_plain(entry: rg.RegistryEntry, bounds: rg.Bounds) -> str:
+    parts = [
+        f"{name.removesuffix('_max')} <= {getattr(bounds, name)}"
+        for name in ("n_max", "m_max", "k_max", "p_max")
+        if getattr(bounds, name)
+    ]
+    if bounds.samples:
+        parts.append(f"{bounds.samples} grid points")
+    if bounds.terms:
+        parts.append(f"{bounds.terms} terms")
+    if bounds.aux_max:
+        parts.append(f"{entry.aux_label} <= {bounds.aux_max}")
+    return ", ".join(parts) if parts else "fixed case list"
+
+
+def cmd_catalog(args) -> int:
+    entries = rg.list_identities()
+    # The document states each erratum; refuse to print it if a printed
+    # variant has come to agree with the true value.
+    agreeing = [
+        f"{e.identity_id} at {_params_plain(params)}"
+        for e in entries
+        for params, evaluate in e.witnesses
+        if rg.run_check(evaluate(params)) != rg.PASS
+    ]
+    if agreeing:
+        for case in agreeing:
+            print(f"fubini: uncorrected variant agrees: {case}", file=sys.stderr)
+        return 1
+    out = [CATALOG_HEADER]
+    for e in entries:
+        flag = " *(corrected)*" if e.corrected else ""
+        out.append(f"### `{e.identity_id}`{flag}\n")
+        out.append(f"{e.statement}\n")
+        out.append(f"- quick: {_bounds_plain(e, e.quick)}\n- full: {_bounds_plain(e, e.full)}\n")
+    errata = "\n\n".join(f"- **`{e.identity_id}`** - {e.erratum}" for e in entries if e.corrected)
+    grid = ", ".join(format_rational(q) for q in rg.SAMPLE_GRID)
+    out.append(CATALOG_FOOTER.format(errata=errata, grid=grid))
+    sys.stdout.write("\n".join(out))
+    return 0
+
+
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -299,6 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     list_ids = sub.add_parser("list-identities", help="print the identity catalog")
     list_ids.add_argument("--format", choices=FORMATS, default="plain")
     list_ids.set_defaults(func=cmd_list_identities)
+
+    catalog = sub.add_parser(
+        "catalog", help="print the catalog document; exit 1 if an erratum no longer holds"
+    )
+    catalog.set_defaults(func=cmd_catalog)
 
     return parser
 

@@ -19,6 +19,10 @@ id as a ``RegistryEntry``, which states its structure as data:
   uncorrected variant at one point and passes exactly when it disagrees
   with the true value, freezing the erratum as an executable fact; its
   reported params carry ``printed: 1``.
+* ``erratum``: the note on the printed variant, which the catalog
+  document states.  An entry has one exactly when it has witnesses.
+* ``aux_label``: what the ``aux_max`` bound counts, for the catalog
+  document.  An entry has one exactly when it reads ``aux_max``.
 
 Reports are deterministic: cases are emitted in sorted order of
 (identity id, parameter binding) and all values serialize exactly.
@@ -105,6 +109,14 @@ class RegistryEntry:
     full: Bounds
     grids: tuple[tuple[Callable[[Bounds], list[dict]], Evaluator], ...]
     witnesses: tuple[tuple[dict, Evaluator], ...] = ()
+    erratum: str = ""
+    aux_label: str = ""
+
+    def __post_init__(self) -> None:
+        if bool(self.witnesses) != bool(self.erratum):
+            raise ValueError(f"{self.identity_id}: witnesses and an erratum go together")
+        if ("aux_max" in self.bounds_used) != bool(self.aux_label):
+            raise ValueError(f"{self.identity_id}: an aux_max bound and its label go together")
 
     @property
     def corrected(self) -> bool:
@@ -183,7 +195,8 @@ def _case_sort_key(params: dict):
     return tuple((k, Fraction(v)) for k, v in sorted(params.items()))
 
 
-def _run_check(check: Check) -> str:
+def run_check(check: Check) -> str:
+    """The status of one evaluated case: PASS, FAIL or SKIP."""
     if check.mode == "skip":
         return SKIP
     if check.mode == "eq":
@@ -745,6 +758,7 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "F_n and the coefficients of F_n(y) count ordered set partitions (by block count)",
         quick=Bounds(n_max=7, aux_max=6),
         full=Bounds(n_max=10, aux_max=8),
+        aux_label="per-block counts n",
         grids=(
             (_box(n=0), _eval_eq14),
             (lambda b: [{"n": n, "blocks": 1} for n in range(b.aux_max + 1)], _eval_eq14_blocks),
@@ -807,6 +821,14 @@ _ENTRY_LIST: list[RegistryEntry] = [
         full=Bounds(n_max=15, samples=25),
         grids=((_sampled("y"), _eval_eq24),),
         witnesses=(({"n": 1, "y": Fraction(1)}, _printed_eq24),),
+        erratum=(
+            "The variant F_n(y) = 2^(n+1)(1+y) F_n(y^2/(1+2y)) - (1+2y) F_n(-y) "
+            "fails already at n = 1, y = 1 (it claims 17/3 for F_1(1) = 1); the "
+            "partial-fraction derivation it comes from drops a factor. The "
+            "corrected identity verified here moves F_n(-y/(1+2y)) to the right "
+            "side with prefactor (1+2y) on F_n(y); the split forms eq84/eq85/eq86 "
+            "that follow from it are sound as stated and are verified unchanged."
+        ),
     ),
     RegistryEntry(
         "eq25_moment",
@@ -861,6 +883,7 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "(y != -1/2; cases without y clear (2y+1)^(n+1) and compare polynomials)",
         quick=Bounds(n_max=6, samples=10, aux_max=5),
         full=Bounds(n_max=15, samples=25, aux_max=10),
+        aux_label="symbolic collapse n",
         grids=(
             (_sampled("y"), _eval_eq84),
             (lambda b: [{"n": n} for n in range(b.aux_max + 1)], _eval_eq84_collapse),
@@ -904,6 +927,11 @@ _ENTRY_LIST: list[RegistryEntry] = [
         full=Bounds(n_max=10, p_max=10),
         grids=((_box(n=1, p=1), _eval_pb_odd),),
         witnesses=(({"n": 1, "p": 1}, _printed_pb_odd),),
+        erratum=(
+            "The variant with upper Stirling index 2n-1 and sign (-1)^(k+1) gives "
+            "-1 at (n,p) = (1,1); the Stirling-relation oracle gives -1/3. The "
+            "corrected form uses upper index 2n and sign (-1)^k."
+        ),
     ),
     RegistryEntry(
         "pb_even_explicit",
@@ -913,6 +941,10 @@ _ENTRY_LIST: list[RegistryEntry] = [
         full=Bounds(n_max=10, p_max=10),
         grids=((_box(n=1, p=1), _eval_pb_even),),
         witnesses=(({"n": 1, "p": 2}, _printed_pb_even),),
+        erratum=(
+            "The variant with sign (-1)^k gives +1/20 at (n,p) = (1,2); the "
+            "oracle gives -1/20. The corrected form uses sign (-1)^(k+1)."
+        ),
     ),
     RegistryEntry(
         "ab_routes",
@@ -930,6 +962,13 @@ _ENTRY_LIST: list[RegistryEntry] = [
         full=Bounds(n_max=20),
         grids=((_box(n=2), _eval_ab_guoqi),),
         witnesses=(({"n": 1}, _printed_ab_guoqi),),
+        erratum=(
+            "Read literally at n = 0 the alternating power sum yields "
+            "lam/(lam-1), but the true index-1 function is 1/(lam-1). The "
+            "derivation passes through a reflection form that is only stated for "
+            "n >= 1, so the n = 0 instance was never covered; the operation is "
+            "restricted to n >= 1 instead of patching the formula."
+        ),
     ),
     RegistryEntry(
         "ab_split",
@@ -963,6 +1002,12 @@ _ENTRY_LIST: list[RegistryEntry] = [
         full=Bounds(m_max=8, n_max=8),
         grids=((_box(m=0, n=1), _eval_ab_product),),
         witnesses=(({"m": 1, "n": 1}, _printed_ab_product),),
+        erratum=(
+            "Pairing the integrand indices as (m, n) with prefactor (m+1)(n+1) "
+            "fails at m = n = 1: the integral of the square of the index-1 "
+            "function is 1, while that variant claims 4/3. The corrected "
+            "statement integrates the index-(m+1) and index-(n+1) functions."
+        ),
     ),
     RegistryEntry(
         "ab_quadrature_oracle",
@@ -987,6 +1032,12 @@ _ENTRY_LIST: list[RegistryEntry] = [
         full=Bounds(n_max=20, m_max=20),
         grids=((_cases_stirling_cross, _eval_stirling_cross),),
         witnesses=(({"i": 2, "j": 0}, _printed_stirling_cross),),
+        erratum=(
+            "The transposed convolution sum_k S2(i,k) C(k,j) fails at "
+            "(i,j) = (2,0), where it sums a Stirling row to the Bell number 2 "
+            "while S2(3,1) = 1. The classical identity puts the binomial on the "
+            "outer index: sum_k C(i,k) S2(k,j) = S2(i+1,j+1)."
+        ),
     ),
 ]
 
@@ -1039,7 +1090,7 @@ def verify(
     for params, evaluate in checks:
         start = time.perf_counter_ns()
         check = evaluate(params)
-        status = _run_check(check)
+        status = run_check(check)
         elapsed_us = (time.perf_counter_ns() - start) // 1000
         reports.append(
             IdentityReport(

@@ -16,6 +16,7 @@ from fubini.apostol import (
     improper_quadrature_oracle,
     lambda_moment_weight,
 )
+from fubini import registry
 from fubini.bernoulli_numbers import bernoulli
 from fubini.exact import Poly, RatFunc
 
@@ -185,3 +186,29 @@ class TestQuadratureOracle:
 
     def test_zero_function(self):
         assert improper_quadrature_oracle(RatFunc.zero()) == 0.0
+
+    def test_whole_improper_integral_family_on_the_full_grids(self):
+        # 128 integrands with numerators up to degree 16; the returned
+        # value must carry the error the oracle promises at any degree.
+        def family(identity):
+            entry = registry.REGISTRY[identity]
+            return [p for p in entry.cases(entry.full) if "printed" not in p]
+
+        cases = [
+            (("moment", p["k"], p["n"]),
+             lambda_moment_weight(p["k"]) * apostol_bernoulli(p["n"] + 1),
+             apostol_moment_integral(p["k"], p["n"])[0])
+            for p in family("ab_moment_integral")
+        ] + [
+            (("product", p["m"], p["n"]),
+             apostol_bernoulli(p["m"] + 1) * apostol_bernoulli(p["n"] + 1),
+             apostol_product_integral_exact(p["m"], p["n"]))
+            for p in family("ab_product_integral")
+        ]
+        assert len(cases) == 128
+        misses = []
+        for case, integrand, exact in cases:
+            approx = Fraction(improper_quadrature_oracle(integrand, 5e-10))
+            if abs(approx - exact) > max(Fraction(1, 10**9), Fraction(4, 10**12) * abs(exact)):
+                misses.append((case, float(approx - exact)))
+        assert misses == []

@@ -31,7 +31,7 @@ def scipy_quad(f):
 
 
 def horner(num: Poly, den: Poly):
-    """The oracle's float integrand: Horner on float coefficients."""
+    """A float integrand: Horner on the float coefficients of num/den."""
     gnum = [float(c) for c in num.coeffs]
     gden = [float(c) for c in den.coeffs]
 
@@ -136,10 +136,13 @@ def test_peaked_integrand_is_bisected_to_within_tol():
 
 
 def test_integrand_that_exhausts_the_limit_raises(oracle_calls):
-    # In t, this is the expanded (t - 1/2)^60: Horner on its float
-    # coefficients cancels into noise near t = 1 that bisection cannot
-    # shrink, so every subinterval is used and the estimate stays above tol.
-    f = RatFunc(Poly([1, 1]) ** 60, Poly.constant(2**60) * Poly([-1, 1]) ** 62)
+    # Eight Lorentzian peaks of width 1e-5 at lambda = -1..-8: resolving
+    # each one takes more bisections than the 200 subintervals allow, so
+    # every subinterval is used and the estimate stays above tol.
+    eps = Fraction(1, 10**5)
+    f = RatFunc.zero()
+    for k in range(1, 9):
+        f = f + RatFunc(Poly.constant(eps), Poly([k * k + eps * eps, 2 * k, 1]))
     with pytest.raises(ArithmeticError, match="exceeds"):
         improper_quadrature_oracle(f, TOL)
     (_, _, _, result), = oracle_calls

@@ -1,11 +1,14 @@
 """Identity catalog behavior: contents, determinism, fault sensitivity."""
 
+import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import fubini.bernoulli_numbers
+from fubini import cli
 from fubini import registry as rg
 from fubini.exact import Poly, RatFunc
 
@@ -21,6 +24,8 @@ REQUIRED_IDS = [
     "ab_guoqi", "ab_split", "ab_sum_products", "ab_moment_integral",
     "ab_product_integral", "stirling_inverse", "stirling_cross",
 ]
+
+DOC = Path(__file__).resolve().parent.parent / "docs" / "identities.md"
 
 CORRECTED_IDS = {
     "eq24_corrected_split", "pb_odd_explicit", "pb_even_explicit",
@@ -78,6 +83,19 @@ class TestCatalogContents:
             entry = rg.REGISTRY[identity]
             printed = [c for c in entry.cases(entry.quick) if "printed" in c]
             assert printed == [{**params, "printed": 1} for params, _ in entry.witnesses]
+
+    @pytest.mark.parametrize(
+        "identity, field, value",
+        [
+            ("stirling_cross", "erratum", ""),
+            ("eq26_integral", "erratum", "a note without witnesses"),
+            ("eq84_split", "aux_label", ""),
+            ("eq26_integral", "aux_label", "unread n"),
+        ],
+    )
+    def test_entry_data_must_pair_up(self, identity, field, value):
+        with pytest.raises(ValueError, match="go together"):
+            dataclasses.replace(rg.REGISTRY[identity], **{field: value})
 
 
 class TestVerify:
@@ -191,30 +209,31 @@ class TestVerifyAll:
 
 
 class TestCatalogDocument:
-    def test_docs_match_registry(self):
-        """docs/identities.md is generated; regenerate it when entries change."""
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent
-        rendered = subprocess.run(
-            [sys.executable, str(repo / "scripts" / "render_catalog.py")],
-            capture_output=True,
-            text=True,
-            cwd=repo,
-        )
-        assert rendered.returncode == 0, rendered.stderr
-        on_disk = (repo / "docs" / "identities.md").read_text()
-        assert rendered.stdout == on_disk
+    def test_docs_match_registry(self, capsys):
+        """docs/identities.md is generated: `fubini catalog > docs/identities.md`."""
+        assert cli.main(["catalog"]) == 0
+        assert capsys.readouterr().out == DOC.read_text()
 
     def test_every_statement_appears_in_document(self):
-        from pathlib import Path
-
-        doc = (Path(__file__).resolve().parent.parent / "docs" / "identities.md").read_text()
+        doc = DOC.read_text()
         for entry in rg.list_identities():
             assert entry.identity_id in doc
             assert entry.statement.split("  ")[0] in doc
+
+    def test_agreeing_uncorrected_variant_fails_the_catalog(self, monkeypatch, capsys):
+        entry = rg.REGISTRY["stirling_cross"]
+        ((params, _),) = entry.witnesses
+        agreeing = dataclasses.replace(entry, witnesses=((params, lambda p: rg.Check("ne", 1, 1)),))
+        monkeypatch.setitem(rg.REGISTRY, "stirling_cross", agreeing)
+        assert cli.main(["catalog"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "stirling_cross" in err
+
+    def test_catalog_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["catalog", "--format", "json"])
+        assert exc.value.code == 2
 
 
 class TestSerialization:
