@@ -1,13 +1,15 @@
 """Apostol-Bernoulli functions as exact rational functions of lambda.
 
 Each index n yields a rational function whose only pole sits at
-lambda = 1 with order at most n.  Three construction routes are kept:
-the direct Stirling sum, substitution of lambda/(1-lambda) into the
-Fubini polynomial of index n-1, and an alternating power form (valid
-from index 2 up; its index-1 instance is a known erratum and is
-rejected rather than patched).  The improper integrals over
-(-inf, 0] reduce exactly to finite Fubini integrals via the
-substitution y = lambda/(1-lambda); a numerical quadrature oracle
+lambda = 1 with order at most n.  Every route writes it as one integer
+polynomial over (lambda-1)^n and canonicalises that quotient once, so
+no route adds or multiplies rational functions.  Three construction
+routes are kept: the direct Stirling sum, substitution of
+lambda/(1-lambda) into the Fubini polynomial of index n-1, and an
+alternating power form (valid from index 2 up; its index-1 instance is
+a known erratum and is rejected rather than patched).  The improper
+integrals over (-inf, 0] reduce exactly to finite Fubini integrals via
+the substitution y = lambda/(1-lambda); a numerical quadrature oracle
 cross-checks them independently.
 """
 
@@ -24,16 +26,14 @@ from .exact import (
     Poly,
     RatFunc,
     Scalar,
-    compose_poly_rational,
     count_real_roots_nonpositive,
+    homogeneous_compose,
 )
 from .polynomials import fubini_poly
 
 _LAMBDA = Poly.variable()
+_MINUS_LAMBDA = Poly([0, -1])
 _LAMBDA_MINUS_1 = Poly([-1, 1])
-# lambda / (1 - lambda), the argument that turns Fubini polynomials into
-# Apostol-Bernoulli functions.
-_FUBINI_ARG = RatFunc(Poly([0, 1]), Poly([1, -1]))
 
 _lock = threading.Lock()
 _apostol_cache: dict[int, RatFunc] = {0: RatFunc.zero()}
@@ -43,7 +43,8 @@ def apostol_bernoulli(n: int) -> RatFunc:
     """Index-n Apostol-Bernoulli function, canonical form.
 
     (n/(lambda-1)) * sum_{k=0}^{n-1} S2(n-1,k) k! (lambda/(1-lambda))^k,
-    with the index-0 function identically zero.
+    with the index-0 function identically zero.  Over (lambda-1)^n the
+    numerator is n * sum_k S2(n-1,k) k! (-lambda)^k (lambda-1)^(n-1-k).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -53,13 +54,12 @@ def apostol_bernoulli(n: int) -> RatFunc:
     with _lock:
         if n not in _apostol_cache:
             row = stirling2_row(n - 1)
-            total = RatFunc.zero()
-            power = RatFunc.from_scalar(1)
+            total = Poly()
             for k in range(n):
                 if row[k]:
-                    total = total + (row[k] * factorial(k)) * power
-                power = power * _FUBINI_ARG
-            _apostol_cache[n] = RatFunc(Poly.constant(n), _LAMBDA_MINUS_1) * total
+                    term = _MINUS_LAMBDA**k * _LAMBDA_MINUS_1 ** (n - 1 - k)
+                    total = total + (row[k] * factorial(k)) * term
+            _apostol_cache[n] = RatFunc(n * total, _LAMBDA_MINUS_1**n)
     return _apostol_cache[n]
 
 
@@ -67,32 +67,32 @@ def apostol_via_fubini(n: int) -> RatFunc:
     """Index-n function by substituting lambda/(1-lambda) into F_{n-1}.
 
     Requires n >= 1; agrees with apostol_bernoulli(n) as canonical forms.
+    F_{n-1} has degree n-1, so F_{n-1}(-lambda/(lambda-1)) is its
+    homogenised substitution over (lambda-1)^(n-1).
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    composed = compose_poly_rational(fubini_poly(n - 1), _FUBINI_ARG)
-    return RatFunc(Poly.constant(n), _LAMBDA_MINUS_1) * composed
+    composed = homogeneous_compose(fubini_poly(n - 1), _MINUS_LAMBDA, _LAMBDA_MINUS_1)
+    return RatFunc(n * composed, _LAMBDA_MINUS_1**n)
 
 
 def apostol_alternating_form(n: int) -> RatFunc:
     """Index-(n+1) function from the alternating power sum, for n >= 1:
 
-    (n+1) * (-1)^n * lambda * sum_k S2(n,k) k! (1/(lambda-1))^(k+1).
+    (n+1) * (-1)^n * lambda * sum_k S2(n,k) k! (1/(lambda-1))^(k+1),
 
+    whose sum is sum_k S2(n,k) k! (lambda-1)^(n-k) over (lambda-1)^(n+1).
     The n = 0 instance of this sum yields lambda/(lambda-1) instead of
     the true 1/(lambda-1), so it is rejected here; see the errata notes.
     """
     if n < 1:
         raise ValueError("alternating form valid for n >= 1 only")
     row = stirling2_row(n)
-    inv = RatFunc(Poly.constant(1), _LAMBDA_MINUS_1)
-    total = RatFunc.zero()
-    power = inv
+    total = Poly()
     for k in range(n + 1):
         if row[k]:
-            total = total + (row[k] * factorial(k)) * power
-        power = power * inv
-    return ((n + 1) * (-1) ** n) * RatFunc.from_poly(_LAMBDA) * total
+            total = total + (row[k] * factorial(k)) * _LAMBDA_MINUS_1 ** (n - k)
+    return RatFunc(((n + 1) * (-1) ** n) * _LAMBDA * total, _LAMBDA_MINUS_1 ** (n + 1))
 
 
 def apostol_split_eval(n: int, lam: Scalar) -> Fraction:
@@ -193,9 +193,11 @@ def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) 
 
     Requires that f has no pole on (-inf, 0] (checked exactly by Sturm
     chains) and decays at least like 1/lambda^2.  The domain is
-    compactified by lambda = -t/(1-t) with t in [0, 1); the transformed
-    integrand is built exactly as a rational function of t, so it has no
-    pole on [0, 1] and adaptive quadrature applies directly.  Each node is
+    compactified by lambda = -t/(1-t) with t in [0, 1).  The transformed
+    integrand is the quotient N(t)/D(t) of two integer polynomials, the
+    homogenised substitutions of f's numerator and denominator; D has no
+    zero on [0, 1] (at t = 1 it is plus or minus f's leading denominator
+    coefficient), so adaptive quadrature applies directly.  Each node is
     evaluated exactly and rounded once, so the integrand is accurate to
     half an ulp whatever its degree.
 
@@ -213,20 +215,23 @@ def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) 
     tol = float(tol)
     if f.is_zero():
         return 0.0
-    if f.den.degree - f.num.degree < 2:
+    decay = f.den.degree - f.num.degree
+    if decay < 2:
         raise ValueError("integrand must decay at least like 1/lambda^2")
     if count_real_roots_nonpositive(f.den) > 0:
         raise ValueError("integrand has a pole on (-inf, 0]")
-    # lambda = -t/(1-t): integral over (-inf, 0] becomes
-    # integral over [0, 1] of f(-t/(1-t)) / (1-t)^2 dt.
-    t_map = RatFunc(Poly([0, -1]), Poly([1, -1]))
-    num_t = compose_poly_rational(f.num, t_map)
-    den_t = compose_poly_rational(f.den, t_map)
-    g = (num_t / den_t) * RatFunc(Poly.constant(1), Poly([1, -1]) ** 2)
+    # lambda = -t/(1-t) turns the integral over (-inf, 0] into the
+    # integral over [0, 1] of f(-t/(1-t)) / (1-t)^2 dt, which is
+    # num_t/den_t * (1-t)^(decay-2) with num_t, den_t the homogenised
+    # substitutions of f.num and f.den.
+    minus_t, one_minus_t = Poly([0, -1]), Poly([1, -1])
+    num_t = homogeneous_compose(f.num, minus_t, one_minus_t) * one_minus_t ** (decay - 2)
+    den_t = homogeneous_compose(f.den, minus_t, one_minus_t)
 
     def integrand(t: float) -> float:
         # A float node is a dyadic rational: evaluate exactly, round once.
-        return float(g(Fraction(t)))
+        x = Fraction(t)
+        return float(num_t(x) / den_t(x))
 
     # Imported on first use, so that `import fubini` costs nothing more
     # for the many commands that never integrate.

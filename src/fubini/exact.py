@@ -349,21 +349,8 @@ class Poly:
         return primitive(upper) - primitive(lower)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """Substitute ``inner`` = v/e for the variable.
-
-        Horner's rule on sum_i c_i v^i e^(d-i) over integer lists, then
-        one division by denominator * e^d.
-        """
-        nums = self.numerators
-        if not nums:
-            return self
-        v, e = inner.numerators, inner.denominator
-        acc = [nums[-1]]
-        scale = 1
-        for i in range(len(nums) - 2, -1, -1):
-            scale *= e
-            acc = _add(_mul(acc, v), [nums[i] * scale])
-        return _poly(acc, self.denominator * scale)
+        """Substitute the polynomial ``inner`` for the variable."""
+        return homogeneous_compose(self, inner, Poly.constant(1))
 
     def to_strings(self) -> list[str]:
         """Coefficients as rational literals, lowest power first."""
@@ -397,6 +384,30 @@ def poly_str(p: Poly, var: str) -> str:
         else:
             parts.append(f" {sign} {body}")
     return "".join(parts)
+
+
+def homogeneous_compose(p: Poly, num: Poly, den: Poly) -> Poly:
+    """Homogenised substitution: sum_i c_i num^i den^(d-i) for p = sum_i c_i x^i.
+
+    Here d is the degree of p.  Wherever den is nonzero this equals
+    p(num/den) * den^d, so a rational argument is substituted without
+    leaving the polynomials; den may have zeros.  With num = v/nd and
+    den = e/ed, Horner's rule runs on the integer lists V = ed*v and
+    E = nd*e, and one division by the denominator of p times (nd*ed)^d
+    ends it.
+    """
+    nums = p.numerators
+    if not nums:
+        return p
+    nd, ed = num.denominator, den.denominator
+    v = [ed * c for c in num.numerators]
+    e = [nd * c for c in den.numerators]
+    acc = [nums[-1]]
+    scale = [1]
+    for i in range(len(nums) - 2, -1, -1):
+        scale = _mul(scale, e)
+        acc = _add(_mul(acc, v), [nums[i] * c for c in scale])
+    return _poly(acc, p.denominator * (nd * ed) ** p.degree)
 
 
 # Division and gcds work on integer coefficient lists (lowest power first,
@@ -824,14 +835,6 @@ class RatFunc:
     def zero(cls) -> "RatFunc":
         return cls(Poly())
 
-    @classmethod
-    def from_scalar(cls, value: Scalar) -> "RatFunc":
-        return cls(Poly.constant(value))
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -930,21 +933,3 @@ def ratfunc_str(f: RatFunc, var: str) -> str:
         den = f"({poly_str(f.den, var)})"
     return f"({num})/{den}"
 
-
-def compose_poly_rational(p: Poly, arg: RatFunc) -> RatFunc:
-    """Exact substitution of a rational function into a polynomial.
-
-    Computes sum_k c_k * num^k * den^(d-k) over den^d, on the integer
-    numerators c_k of ``p`` (its denominator joins den^d), then
-    canonicalizes.
-    """
-    if p.is_zero():
-        return RatFunc.zero()
-    d = p.degree
-    total = Poly()
-    num_power = Poly.constant(1)
-    for k, c in enumerate(p.numerators):
-        if c:
-            total = total + c * num_power * arg.den ** (d - k)
-        num_power = num_power * arg.num
-    return RatFunc(total, p.denominator * arg.den**d)

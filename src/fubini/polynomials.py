@@ -56,7 +56,7 @@ def fubini_number(n: int) -> int:
     return value.numerator
 
 
-def ordered_partition_block_counts(n: int, cap: int = BRUTEFORCE_CAP) -> tuple[int, ...]:
+def ordered_partition_block_counts(n: int) -> tuple[int, ...]:
     """Count ordered set partitions of an n-set by block count, index k = #blocks.
 
     Direct enumeration: every set partition is generated as a restricted
@@ -65,8 +65,8 @@ def ordered_partition_block_counts(n: int, cap: int = BRUTEFORCE_CAP) -> tuple[i
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    if n > cap:
-        raise ValueError(f"enumeration capped at n <= {cap}, got {n}")
+    if n > BRUTEFORCE_CAP:
+        raise ValueError(f"enumeration capped at n <= {BRUTEFORCE_CAP}, got {n}")
     partitions = [0] * (n + 1)
 
     def assign(i: int, used: int) -> None:
@@ -80,9 +80,9 @@ def ordered_partition_block_counts(n: int, cap: int = BRUTEFORCE_CAP) -> tuple[i
     return tuple(partitions[k] * factorial(k) for k in range(n + 1))
 
 
-def fubini_number_bruteforce(n: int, cap: int = BRUTEFORCE_CAP) -> int:
+def fubini_number_bruteforce(n: int) -> int:
     """F_n by exhaustive enumeration of ordered set partitions."""
-    return sum(ordered_partition_block_counts(n, cap=cap))
+    return sum(ordered_partition_block_counts(n))
 
 
 def fubini_two_var(n: int) -> BiPoly:

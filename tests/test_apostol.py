@@ -16,7 +16,7 @@ from fubini.apostol import (
     improper_quadrature_oracle,
     lambda_moment_weight,
 )
-from fubini import registry
+from fubini import apostol, registry
 from fubini.bernoulli_numbers import bernoulli
 from fubini.exact import Poly, RatFunc
 
@@ -35,7 +35,7 @@ class TestConstruction:
 
     def test_pole_discipline(self):
         # canonical denominator is exactly (lambda - 1)^n
-        for n in range(21):
+        for n in [*range(21), 40, 60]:
             func = apostol_bernoulli(n)
             d = func.den.degree
             assert d <= n
@@ -43,7 +43,7 @@ class TestConstruction:
             if n >= 1:
                 assert d == n
 
-    @pytest.mark.parametrize("n", range(1, 31))
+    @pytest.mark.parametrize("n", [*range(1, 31), 40, 60])
     def test_fubini_route_agrees(self, n):
         assert apostol_via_fubini(n) == apostol_bernoulli(n)
 
@@ -51,13 +51,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             apostol_via_fubini(0)
 
-    @pytest.mark.parametrize("n", range(2, 31))
+    @pytest.mark.parametrize("n", [*range(2, 31), 40, 60])
     def test_alternating_route_agrees(self, n):
         assert apostol_alternating_form(n - 1) == apostol_bernoulli(n)
 
     def test_alternating_route_rejects_lowest_index(self):
         with pytest.raises(ValueError):
             apostol_alternating_form(0)
+
+    @pytest.mark.parametrize("n", [2, 25])
+    def test_each_route_canonicalises_once(self, n, monkeypatch):
+        monkeypatch.setattr(apostol, "_apostol_cache", {0: RatFunc.zero()})
+        built = []
+        init = RatFunc.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(RatFunc, "__init__", counting_init)
+        for route, index in (
+            (apostol_bernoulli, n),
+            (apostol_via_fubini, n),
+            (apostol_alternating_form, n - 1),
+        ):
+            built.clear()
+            route(index)
+            assert len(built) == 1, route.__name__
+        integrand = apostol_bernoulli(2) * apostol_bernoulli(3)
+        built.clear()
+        improper_quadrature_oracle(integrand, 1e-10)
+        assert built == []
 
     def test_alternating_lowest_index_is_an_erratum(self):
         # Read literally at n = 0 the sum yields lambda/(lambda-1),

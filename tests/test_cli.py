@@ -89,6 +89,11 @@ OUTPUT_SHA256 = {
         "2d6267c76c46a6776a94f69508d8e15ed354f457910c42998c5c68a5a0ffcc54",
         "1cae182bd26854d20037edd97f41dc8f244e40bcb9ad1d3cf2c1d157bbe61a5f",
     ),
+    "compute apostol --n 40": (
+        "ba816abb20fa36e555edf084d608c58e7b978b3c02fbbbd2d4b8c3035ca53b91",
+        "c559f2b2edbeb9810442ef5fa107d308e3c419864737cd6ac74239464f447f8c",
+        "bec5258152485df1d0820c9585fa55633bcf156451cd66d7ca811a212637980e",
+    ),
     "verify eq24_corrected_split": (
         "6fe437a1331cdcb792c07789b9d9766ba5ef28f1f95c9a37b225f785bc9bf81c",
         "6c5461e9f09229a7b7ffd0c39d1b0d395c36fc9ce0c3d9721fb99861b08614a0",

@@ -13,9 +13,9 @@ from fubini.exact import (
     BiPoly,
     Poly,
     RatFunc,
-    compose_poly_rational,
     count_real_roots_nonpositive,
     format_rational,
+    homogeneous_compose,
     parse_rational,
     poly_divmod,
     poly_gcd,
@@ -290,6 +290,30 @@ class TestIntegerStorage:
         assert_canonical_poly(composed)
         assert composed.coeffs == poly_compose_ref(a, b)
 
+    @given(mixed_lists(4), mixed_lists(3), mixed_lists(3), mixed_scalars)
+    def test_homogeneous_compose_matches_substitution(self, a, b, c, x):
+        p, num, den = Poly(a), Poly(b), Poly(c)
+        composed = homogeneous_compose(p, num, den)
+        assert_canonical_poly(composed)
+        d = p.degree
+        if d < 0:
+            assert composed.is_zero()
+        elif den(x) != 0:
+            assert composed(x) == p(num(x) / den(x)) * den(x) ** d
+        else:
+            # Where den vanishes only the top term c_d num^d survives.
+            assert composed(x) == p.leading_coefficient() * num(x) ** d
+
+    def test_homogeneous_compose_at_a_zero_of_the_denominator(self):
+        p = Poly([Fraction(1, 3), -2, Fraction(5, 2)])
+        num = Poly([1, Fraction(1, 2)])
+        den = Poly([Fraction(-1, 3), Fraction(2, 3)])  # zero at 1/2
+        composed = homogeneous_compose(p, num, den)
+        half = Fraction(1, 2)
+        assert composed(half) == Fraction(5, 2) * num(half) ** 2
+        for x in (Fraction(0), Fraction(3), Fraction(-2, 7)):
+            assert composed(x) == p(num(x) / den(x)) * den(x) ** 2
+
     @given(mixed_grids(), mixed_lists(3), mixed_lists(3))
     def test_bipoly_construction_and_outer_match_reference(self, grid, px, py):
         b = BiPoly(grid)
@@ -442,10 +466,10 @@ class TestRatFunc:
         assert (f**2).den == Poly([1, -2, 1])
 
     def test_compose_poly_rational(self):
-        # substitute l/(1-l) into y^2 + y: l/(1-l)^2 after simplification
-        arg = RatFunc(Poly([0, 1]), Poly([1, -1]))
-        composed = compose_poly_rational(Poly([0, 1, 1]), arg)
-        assert composed == RatFunc(Poly([0, 1]), Poly([1, -2, 1]))
+        # substitute l/(1-l) into y^2 + y: l(1-l) + l^2 = l over (1-l)^2
+        composed = homogeneous_compose(Poly([0, 1, 1]), Poly([0, 1]), Poly([1, -1]))
+        assert composed == Poly([0, 1])
+        assert RatFunc(composed, Poly([1, -1]) ** 2) == RatFunc(Poly([0, 1]), Poly([1, -2, 1]))
 
     def test_equality_is_structural_on_canonical_form(self):
         a = RatFunc(Poly([0, 2]), Poly([0, 0, 2]))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fubini import polynomials
 from fubini.exact import BiPoly, Poly
 from fubini.polynomials import (
     fubini_number,
@@ -73,10 +74,12 @@ class TestFubiniNumbers:
     def test_bruteforce_agrees(self, n):
         assert fubini_number_bruteforce(n) == FUBINI_NUMBERS[n]
 
-    def test_bruteforce_cap(self):
+    def test_bruteforce_cap(self, monkeypatch):
         with pytest.raises(ValueError):
             fubini_number_bruteforce(11)
-        assert fubini_number_bruteforce(11, cap=11) == 1622632573
+        # The cap is read at call time.
+        monkeypatch.setattr(polynomials, "BRUTEFORCE_CAP", 11)
+        assert fubini_number_bruteforce(11) == 1622632573
 
     @pytest.mark.parametrize("n", range(8))
     def test_block_counts_match_literal_generation(self, n):
