@@ -1,7 +1,9 @@
 """Stirling numbers of both kinds, binomials, and their matrix identities.
 
 Triangles are grown row by row from the defining recurrences; rows up to
-MEMO_ROWS are memoized.  The signed first kind is a derived view of the
+MEMO_ROWS are memoized.  A single second-kind entry above MEMO_ROWS comes
+from the explicit alternating sum k! S2(n, k) = sum_j (-1)^(k-j) C(k, j) j^n
+and builds no row.  The signed first kind is a derived view of the
 unsigned triangle, never a second table.
 """
 
@@ -64,7 +66,14 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("indices must be non-negative")
     if k > n:
         return 0
-    return stirling2_row(n)[k]
+    if n <= MEMO_ROWS:
+        return stirling2_row(n)[k]
+    total, binom = 0, 1  # the j = 0 term is 0^n = 0
+    for j in range(1, k + 1):
+        binom = binom * (k - j + 1) // j
+        term = binom * j**n
+        total += -term if (k - j) % 2 else term
+    return total // math.factorial(k)
 
 
 def stirling1_unsigned(n: int, k: int) -> int:

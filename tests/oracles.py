@@ -7,7 +7,10 @@ from itertools.permutations, large Stirling numbers from the explicit
 alternating sum and the rising-factorial product, binomials from
 Pascal's triangle, Bernoulli numbers from the Akiyama-Tanigawa scheme,
 polynomial gcds from Euclid's algorithm over Q, and polynomial arithmetic
-from schoolbook formulas on plain lists of Fraction coefficients.
+from schoolbook formulas on plain lists of Fraction coefficients.  The
+explicit sum is also the formula `combinat.stirling2` uses for a single
+entry above `combinat.MEMO_ROWS`, so `stirling2_explicit` checks only the
+rolled rows of `stirling2_row`, never such an entry.
 """
 
 from __future__ import annotations

@@ -39,6 +39,16 @@ OUTPUT_SHA256 = {
         "932ac21555614cb7cdc194e60471f038c7e05936990943218ebfece3b6871f3c",
         "eb1c82837ebd6f897f2bf76befce4aff24a541c2d1b1a7c9141c21e4c4172875",
     ),
+    "compute stirling2 --n 900 --k 5": (
+        "e2ddbc62cd9c6fa1ddb9fcb4ce94c0f4dee2ac7a01d07fe00fc5adce60ee4c56",
+        "a22ffe35e11be069b5eb7e817e887530e3713f7b7ae3cfbb89f610b70c0105db",
+        "dacf32b6ef55278d970cc3b039b77e49c199d75469ab988cf480cdc0bedfc18d",
+    ),
+    "compute stirling2 --n 3000 --k 1500": (
+        "b3694834a1f44306157360aa8c8e0a7b9707cd13d0d5668ddc79eaca72151100",
+        "68666a19f661032b872f2d902df1e7563d013b46707631f3edc9d3322861cec7",
+        "d064b98afb39173155a7d536ac72bcb90c3fac45101433ad0d9eef9fb147c218",
+    ),
     "compute binomial --n 30 --k 11": (
         "df9a59833ee1cad67920adc3033916d9e5e582041010bdaa36ee63fddd1bb90b",
         "6746f0feec17bedc0add03c3997f0b7c10fd9a855d406448090f82ab7dd02ab3",

@@ -179,6 +179,45 @@ class TestRowsAboveTheMemo:
         for n in ROW_ORDERS[order]:
             assert list(stirling1_row(n)) == RISING_FACTORIALS[n], n
 
+    def test_single_second_kind_entries_match_the_rolled_rows(self, monkeypatch):
+        # Above MEMO_ROWS an entry is the explicit alternating sum and the row
+        # is the recurrence: two independent routes.  Descending rows on a
+        # cleared cursor make each row restart from the memo.
+        monkeypatch.setattr(combinat, "_cursor", {})
+        for n in range(150, MEMO_ROWS - 1, -1):
+            row = stirling2_row(n)
+            for k in range(n + 2):
+                expected = row[k] if k <= n else 0
+                assert stirling2(n, k) == expected, (n, k)
+
+    def test_single_entry_edge_cases_above_the_memo(self):
+        n = MEMO_ROWS + 1
+        assert stirling2(n, 0) == 0
+        assert stirling2(n, 1) == 1
+        assert stirling2(n, n - 1) == math.comb(n, 2)
+        assert stirling2(n, n) == 1
+        assert stirling2(n, n + 1) == 0
+
+    def test_single_entry_above_the_memo_builds_no_row(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("stirling2 rolled a row")
+
+        class ForbiddenLock:
+            def __enter__(self):
+                raise AssertionError("stirling2 took the row lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        stirling2_row(MEMO_ROWS + 30)  # leave a row in the cursor
+        cursor = dict(combinat._cursor)
+        monkeypatch.setattr(combinat, "_row", forbidden)
+        monkeypatch.setattr(combinat, "_lock", ForbiddenLock())
+        assert stirling2(MEMO_ROWS + 1, 2) == 2 ** MEMO_ROWS - 1
+        assert stirling2(300, 150) > 0
+        assert stirling2(1000, 3) == (3**1000 - 3 * 2**1000 + 3) // 6
+        assert combinat._cursor == cursor
+
     def test_rows_above_the_memo_are_not_stored(self):
         stirling2_row(500)
         stirling1_row(500)

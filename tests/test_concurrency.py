@@ -6,11 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 from fubini import bernoulli_numbers
 from fubini.apostol import apostol_bernoulli
 from fubini.bernoulli_numbers import bernoulli, bernoulli_recurrence
-from fubini.combinat import MEMO_ROWS, stirling1_row, stirling2_row
+from fubini.combinat import MEMO_ROWS, stirling1_row, stirling2, stirling2_row
 from fubini.polynomials import fubini_poly_recurrence, fubini_two_var
 
 # Indices above the Stirling memo.  Their rows are rolled forward from a
-# shared cursor, so threads asking for different ones move it back and forth.
+# shared cursor, so threads asking for different ones move it back and forth;
+# a single second-kind entry there is an explicit sum that builds no row.
 HIGH = [MEMO_ROWS + 1 + 13 * i for i in range(4)]
 
 
@@ -25,6 +26,7 @@ def _read_all(seed: int) -> dict:
         "ab": apostol_bernoulli(22),
         "s2_high": stirling2_row(n),
         "s1_high": stirling1_row(n),
+        "s2_entries_high": [stirling2(n, k) for k in (0, 1, n // 2, n - 1, n)],
         "bern_high": bernoulli(n),
     }
 
