@@ -12,7 +12,8 @@ Subcommands:
 * ``catalog`` prints the catalog document, ``docs/identities.md``.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-error (unknown object/identity, missing or invalid parameters).  Output
+error (unknown object/identity, missing or invalid parameters), 141 the
+reader of stdout closed it early (128 + SIGPIPE, as for `| head`).  Output
 is deterministic for a fixed command line except for the elapsed_us
 field of verification reports.
 """
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -441,7 +443,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     with _unlimited_int_digits():
         args = parser.parse_args(_merge_at_values(list(argv)))
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe shows up here, not at exit
+            return code
+        except BrokenPipeError:
+            # Silence the flush at interpreter exit, which would fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         except UsageError as exc:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
         except (ValueError, ZeroDivisionError) as exc:

@@ -6,6 +6,12 @@ builds the family by several independent routes (triangle sum, derivative
 recurrence, reflection form, split form) plus the two-variable extension
 F_n(x;y) = sum_k C(n,k) * F_k(y) * x^(n-k).  Route agreement is what the
 identity catalog checks; each route is kept self-contained here.
+
+F_n is memoised per index up to `combinat.MEMO_ROWS`, the rows the
+Stirling memo keeps; a larger index is rebuilt from its row on each call
+and not stored.  The split form is evaluated in integers: at y = c/d its
+terms share the denominator d^n (2c+d)^(n+1), so one Fraction is built
+per call instead of several per term.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from .combinat import binomial, stirling2_row
+from .combinat import MEMO_ROWS, binomial, stirling2_row
 from .exact import BiPoly, Poly, Scalar
 
 BRUTEFORCE_CAP = 10
 
 _lock = threading.Lock()
+_poly_cache: dict[int, Poly] = {}
 _recurrence_cache: list[Poly] = [Poly.constant(1)]
 _two_var_cache: dict[int, BiPoly] = {}
 
@@ -28,11 +35,18 @@ def fubini_poly(n: int) -> Poly:
     """F_n(y) from the Stirling triangle: sum_k S2(n,k) * k! * y^k."""
     if n < 0:
         raise ValueError("index must be non-negative")
+    cached = _poly_cache.get(n)
+    if cached is not None:
+        return cached
     coeffs, factorial_k = [], 1
     for k, s in enumerate(stirling2_row(n)):
         coeffs.append(s * factorial_k)
         factorial_k *= k + 1
-    return Poly(coeffs)
+    result = Poly(coeffs)
+    if n > MEMO_ROWS:
+        return result
+    with _lock:
+        return _poly_cache.setdefault(n, result)
 
 
 def fubini_poly_recurrence(n: int) -> Poly:
@@ -136,15 +150,19 @@ def fubini_split_eval(n: int, y: Scalar) -> Fraction:
     yv = Fraction(y)
     if yv == Fraction(-1, 2):
         raise ValueError("split form is singular at y = -1/2")
-    row = stirling2_row(n)
-    two_y_plus_1 = 2 * yv + 1
-    total = Fraction(0)
-    for k in range(n + 1):
-        if row[k] == 0:
-            continue
-        numer = 2 ** (n + 1) * (yv + 1) * yv**k + (-1) ** (k + 1)
-        total += row[k] * factorial(k) * yv**k * numer / two_y_plus_1 ** (k + 1)
-    return total
+    # With y = c/d and 2y+1 = e/d, term k over d^n e^(n+1) is
+    # S2(n,k) k! c^k (de)^(n-k) [2^(n+1) (c+d) c^k + (-1)^(k+1) d^(k+1)];
+    # the sum runs as a Horner scheme in de.
+    c, d = yv.numerator, yv.denominator
+    e = 2 * c + d
+    de, lead = d * e, 2 ** (n + 1) * (c + d)
+    total, factorial_k, c_k, tail = 0, 1, 1, -d
+    for k, s in enumerate(stirling2_row(n)):
+        total = total * de + s * factorial_k * c_k * (lead * c_k + tail)
+        factorial_k *= k + 1
+        c_k *= c
+        tail *= -d
+    return Fraction(total, d**n * e ** (n + 1))
 
 
 def fubini_split_collapse(n: int) -> tuple[Poly, Poly]:

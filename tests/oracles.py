@@ -6,8 +6,9 @@ partitions are generated as explicit block structures, cycle counts come
 from itertools.permutations, large Stirling numbers from the explicit
 alternating sum and the rising-factorial product, binomials from
 Pascal's triangle, Bernoulli numbers from the Akiyama-Tanigawa scheme,
-polynomial gcds from Euclid's algorithm over Q, and polynomial arithmetic
-from schoolbook formulas on plain lists of Fraction coefficients.  The
+polynomial gcds from Euclid's algorithm over Q, polynomial arithmetic
+from schoolbook formulas on plain lists of Fraction coefficients, and the
+split form of F_n term by term in Fractions.  The
 explicit sum is also the formula `combinat.stirling2` uses for a single
 entry above `combinat.MEMO_ROWS`, so `stirling2_explicit` checks only the
 rolled rows of `stirling2_row`, never such an entry.
@@ -90,6 +91,23 @@ def stirling2_explicit(n: int, k: int) -> int:
     quotient, remainder = divmod(total, math.factorial(k))
     assert remainder == 0
     return quotient
+
+
+def fubini_split_eval_ref(n: int, y) -> Fraction:
+    """sum_k S2(n,k) k! y^k [2^(n+1) (y+1) y^k + (-1)^(k+1)] / (2y+1)^(k+1),
+    one Fraction operation at a time; singular at y = -1/2."""
+    yv = Fraction(y)
+    if yv == Fraction(-1, 2):
+        raise ValueError("split form is singular at y = -1/2")
+    two_y_plus_1 = 2 * yv + 1
+    total = Fraction(0)
+    for k in range(n + 1):
+        s = stirling2_explicit(n, k)
+        if s == 0:
+            continue
+        numer = 2 ** (n + 1) * (yv + 1) * yv**k + (-1) ** (k + 1)
+        total += s * math.factorial(k) * yv**k * numer / two_y_plus_1 ** (k + 1)
+    return total
 
 
 def rising_factorial_rows(n_max: int) -> list[list[int]]:

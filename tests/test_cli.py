@@ -296,6 +296,23 @@ class TestTable:
         assert out == ""
         assert f"the bounds select no case of {argv[0]}" in err
 
+    def test_reader_closing_the_pipe_exits_141_quietly(self):
+        # About 170 kB of output, more than a pipe buffer holds, so the
+        # writer is still writing when the read end closes after one line.
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fubini", "table", "fubini", "--n-max", "400"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=REPO,
+        )
+        assert proc.stdout.readline() == b"n,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
 
 class TestVerifyCommands:
     def test_verify_single_identity(self):

@@ -3,11 +3,11 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from fubini import bernoulli_numbers
+from fubini import bernoulli_numbers, polynomials
 from fubini.apostol import apostol_bernoulli
 from fubini.bernoulli_numbers import bernoulli, bernoulli_recurrence
 from fubini.combinat import MEMO_ROWS, stirling1_row, stirling2, stirling2_row
-from fubini.polynomials import fubini_poly_recurrence, fubini_two_var
+from fubini.polynomials import fubini_poly, fubini_poly_recurrence, fubini_two_var
 
 # Indices above the Stirling memo.  Their rows are rolled forward from a
 # shared cursor, so threads asking for different ones move it back and forth;
@@ -22,6 +22,7 @@ def _read_all(seed: int) -> dict:
         "s1": stirling1_row(120),
         "bern": bernoulli(60),
         "fub": fubini_poly_recurrence(50),
+        "fub_rows": [fubini_poly(n) for n in range(MEMO_ROWS + 1)],
         "two": fubini_two_var(25),
         "ab": apostol_bernoulli(22),
         "s2_high": stirling2_row(n),
@@ -33,8 +34,10 @@ def _read_all(seed: int) -> dict:
 
 def test_concurrent_readers_see_single_threaded_values(monkeypatch):
     expected = [_read_all(seed) for seed in range(len(HIGH))]
-    # The threads then build every Bernoulli number again, racing each other.
+    # The threads then build every Bernoulli number and every memoised F_n
+    # again, racing each other.
     monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+    monkeypatch.setattr(polynomials, "_poly_cache", {})
     for seed, values in enumerate(expected):
         assert values["bern_high"] == bernoulli_recurrence(HIGH[seed])
 
@@ -52,4 +55,5 @@ def test_concurrent_readers_see_single_threaded_values(monkeypatch):
 def test_cached_values_are_shared_not_recomputed():
     assert stirling2_row(40) is stirling2_row(40)
     assert fubini_poly_recurrence(30) is fubini_poly_recurrence(30)
+    assert fubini_poly(30) is fubini_poly(30)
     assert apostol_bernoulli(12) is apostol_bernoulli(12)

@@ -4,10 +4,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fubini import polynomials
+from fubini.combinat import MEMO_ROWS
 from fubini.exact import BiPoly, Poly
 from fubini.polynomials import (
     fubini_number,
@@ -25,7 +26,7 @@ from fubini.polynomials import (
     ordered_partition_block_counts,
 )
 
-from oracles import ordered_partitions
+from oracles import fubini_split_eval_ref, ordered_partitions
 
 # Frozen from the enumeration oracle (ordered set partitions of n elements).
 FUBINI_NUMBERS = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563]
@@ -56,6 +57,14 @@ class TestFubiniPoly:
     @given(st.integers(min_value=0, max_value=20), small_rationals)
     def test_routes_agree_at_points(self, n, y):
         assert fubini_poly(n)(y) == fubini_poly_recurrence(n)(y)
+
+    def test_memoised_up_to_memo_rows(self):
+        for n in range(MEMO_ROWS + 1):
+            assert fubini_poly(n) is fubini_poly(n)
+
+    def test_index_above_memo_rows_is_not_stored(self):
+        assert fubini_poly(200).degree == 200
+        assert all(n <= MEMO_ROWS for n in polynomials._poly_cache)
 
     def test_even_indices_vanish_at_minus_half(self):
         for k in range(1, 11):
@@ -153,6 +162,24 @@ class TestSplitForm:
     def test_singular_point_rejected(self):
         with pytest.raises(ValueError):
             fubini_split_eval(3, Fraction(-1, 2))
+
+    @given(
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=1, max_value=50),
+    )
+    @example(7, 0, 1)
+    @example(7, -1, 1)
+    @example(8, -3, 4)  # 2y + 1 < 0
+    @example(5, -1, 2)  # the singular point
+    @example(5, -25, 50)  # the singular point, unreduced
+    def test_matches_fraction_reference(self, n, p, q):
+        y = Fraction(p, q)
+        if y == Fraction(-1, 2):
+            with pytest.raises(ValueError):
+                fubini_split_eval(n, y)
+        else:
+            assert fubini_split_eval(n, y) == fubini_split_eval_ref(n, y)
 
     @pytest.mark.parametrize("n", range(11))
     def test_symbolic_collapse(self, n):
