@@ -5,6 +5,11 @@ odd-index values vanish from B_3 on.  The two-index family B_{n,p} is
 computed from the first-kind Stirling relation and reduces to B_n at
 p = 0.  Integral identities pair an exact polynomial integral with an
 independent Bernoulli-sum route, returning both so callers can compare.
+
+The warm evaluators sum integer numerators over one common denominator
+and build one Fraction per call: a weighted sum of Bernoulli numbers over
+the lcm of their denominators, and the moment integral of y^k F_n over
+lcm(k+1..k+n+1).
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import threading
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul
+from typing import Sequence
 
-from .combinat import binomial, stirling1_unsigned, stirling2_row
-from .exact import Poly
+from .combinat import binomial, stirling1_row, stirling1_unsigned, stirling2_row
 from .polynomials import fubini_poly
 
 _lock = threading.Lock()
@@ -80,17 +85,41 @@ def bernoulli_via_integral(n: int) -> Fraction:
 
 def bernoulli_binomial_sum(m: int, n: int) -> Fraction:
     """(-1)^m * sum_{j=0}^{m} C(m,j) * B_{n+j}."""
+    if m < 0:
+        raise ValueError("requires m >= 0")
     return (-1) ** m * sum(
         (binomial(m, j) * bernoulli(n + j) for j in range(m + 1)), Fraction(0)
     )
 
 
+def _bernoulli_combination(weights: Sequence[int], start: int, divisor: int = 1) -> Fraction:
+    """sum_j weights[j] * B_{start+j} / divisor, one integer sum over the
+    least common denominator of the Bernoulli numbers involved."""
+    values = [bernoulli(start + j) for j in range(len(weights))]
+    den = lcm(*[v.denominator for v in values])
+    num = sum(w * v.numerator * (den // v.denominator) for w, v in zip(weights, values))
+    return Fraction(num, den * divisor)
+
+
 def stirling_bernoulli_sum(k: int, n: int) -> Fraction:
     """sum_{j=0}^{k} S1u(k+1, j+1) * B_{n+j}."""
-    return sum(
-        (stirling1_unsigned(k + 1, j + 1) * bernoulli(n + j) for j in range(k + 1)),
-        Fraction(0),
-    )
+    if k < 0 or n < 0:
+        raise ValueError("indices must be non-negative")
+    return _bernoulli_combination(stirling1_row(k + 1)[1:], n)
+
+
+def _fubini_moment(k: int, n: int) -> Fraction:
+    """The integral of y^k * F_n(y) over [-1, 0], for F_n = sum_i a_i y^i:
+
+    sum_i a_i (-1)^(k+i) / (k+i+1), one integer sum over lcm(k+1..k+n+1).
+    """
+    den = lcm(*range(k + 1, k + n + 2))
+    num = 0
+    # F_n has integer coefficients; m = k + i + 1 runs over the divisors.
+    for m, a in enumerate(fubini_poly(n).numerators, k + 1):
+        term = a * (den // m)
+        num += term if m % 2 else -term
+    return Fraction(num, den)
 
 
 def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
@@ -103,7 +132,7 @@ def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("requires n >= 1")
     if k < 0:
         raise ValueError("requires k >= 0")
-    exact = (Poly.monomial(k) * fubini_poly(n)).integrate(-1, 0)
+    exact = _fubini_moment(k, n)
     formula = Fraction((-1) ** k, factorial(k)) * stirling_bernoulli_sum(k, n)
     return exact, formula
 
@@ -156,11 +185,8 @@ def p_bernoulli(n: int, p: int) -> Fraction:
     """
     if n < 0 or p < 0:
         raise ValueError("indices must be non-negative")
-    acc = sum(
-        ((-1) ** j * stirling1_unsigned(p, j) * bernoulli(n + j) for j in range(p + 1)),
-        Fraction(0),
-    )
-    return Fraction(p + 1, factorial(p)) * acc
+    weights = [(p + 1) * (-s if j % 2 else s) for j, s in enumerate(stirling1_row(p))]
+    return _bernoulli_combination(weights, n, factorial(p))
 
 
 def p_bernoulli_shift_relation(n: int, p: int) -> tuple[Fraction, Fraction]:
@@ -239,7 +265,7 @@ def fubini_moment_parity(p: int, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("requires n >= 2")
     if p < 0:
         raise ValueError("requires p >= 0")
-    exact = (Poly.monomial(p) * fubini_poly(n)).integrate(-1, 0)
+    exact = _fubini_moment(p, n)
     sign = (-1) ** p if n % 2 == 1 else (-1) ** (p + 1)
     parity = sign * Fraction(p + 1, p + 2) * p_bernoulli(n - 1, p + 1)
     return exact, parity

@@ -9,9 +9,10 @@ identity catalog checks; each route is kept self-contained here.
 
 F_n is memoised per index up to `combinat.MEMO_ROWS`, the rows the
 Stirling memo keeps; a larger index is rebuilt from its row on each call
-and not stored.  The split form is evaluated in integers: at y = c/d its
-terms share the denominator d^n (2c+d)^(n+1), so one Fraction is built
-per call instead of several per term.
+and not stored.  The point evaluators sum integer numerators over one
+common denominator and build one Fraction per call instead of several per
+term: the split form at y = c/d over d^n (2c+d)^(n+1), the two-variable
+convolution at (a/b, c/d) over (bd)^n.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from .combinat import MEMO_ROWS, binomial, stirling2_row
-from .exact import BiPoly, Poly, Scalar
+from .exact import BiPoly, Poly, Scalar, _exact, _horner
 
 BRUTEFORCE_CAP = 10
 
@@ -118,11 +119,21 @@ def fubini_two_var(n: int) -> BiPoly:
 
 def fubini_two_var_eval(n: int, x: Scalar, y: Scalar) -> Fraction:
     """F_n(x;y) at a rational point, via the binomial convolution directly."""
-    xv, yv = Fraction(x), Fraction(y)
-    total = Fraction(0)
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    xv, yv = _exact(x), _exact(y)
+    a, b = xv.numerator, xv.denominator
+    c, d = yv.numerator, yv.denominator
+    # F_k has degree k, so _horner gives H_k = F_k(c/d) d^k.  Over (bd)^n
+    # term k is C(n,k) H_k b^k (ad)^(n-k); the sum runs as a Horner scheme
+    # in ad.
+    ad = a * d
+    total, b_k = 0, 1
     for k in range(n + 1):
-        total += binomial(n, k) * fubini_poly(k)(yv) * xv ** (n - k)
-    return total
+        h_k = _horner(fubini_poly(k).numerators, c, d)[0]
+        total = total * ad + binomial(n, k) * h_k * b_k
+        b_k *= b
+    return Fraction(total, (b * d) ** n)
 
 
 def fubini_reflection_form(n: int) -> Poly:
@@ -147,7 +158,7 @@ def fubini_split_eval(n: int, y: Scalar) -> Fraction:
 
     sum_k S2(n,k) k! y^k [2^(n+1) (y+1) y^k + (-1)^(k+1)] / (2y+1)^(k+1).
     """
-    yv = Fraction(y)
+    yv = _exact(y)
     if yv == Fraction(-1, 2):
         raise ValueError("split form is singular at y = -1/2")
     # With y = c/d and 2y+1 = e/d, term k over d^n e^(n+1) is

@@ -8,7 +8,9 @@ alternating sum and the rising-factorial product, binomials from
 Pascal's triangle, Bernoulli numbers from the Akiyama-Tanigawa scheme,
 polynomial gcds from Euclid's algorithm over Q, polynomial arithmetic
 from schoolbook formulas on plain lists of Fraction coefficients, and the
-split form of F_n term by term in Fractions.  The
+point evaluators of the library (the split form of F_n, the two-variable
+convolution, the moment integral of y^k F_n, the p-Bernoulli numbers and
+the Stirling-weighted Bernoulli sum) term by term in Fractions.  The
 explicit sum is also the formula `combinat.stirling2` uses for a single
 entry above `combinat.MEMO_ROWS`, so `stirling2_explicit` checks only the
 rolled rows of `stirling2_row`, never such an entry.
@@ -108,6 +110,41 @@ def fubini_split_eval_ref(n: int, y) -> Fraction:
         numer = 2 ** (n + 1) * (yv + 1) * yv**k + (-1) ** (k + 1)
         total += s * math.factorial(k) * yv**k * numer / two_y_plus_1 ** (k + 1)
     return total
+
+
+def fubini_coeffs_ref(n: int) -> list[int]:
+    """Coefficients of F_n(y), lowest power first: S2(n,k) * k!."""
+    return [stirling2_explicit(n, k) * math.factorial(k) for k in range(n + 1)]
+
+
+def fubini_two_var_eval_ref(n: int, x, y) -> Fraction:
+    """sum_k C(n,k) F_k(y) x^(n-k), one Fraction operation at a time."""
+    xv, yv = Fraction(x), Fraction(y)
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += math.comb(n, k) * poly_eval_ref(fubini_coeffs_ref(k), yv) * xv ** (n - k)
+    return total
+
+
+def fubini_moment_ref(k: int, n: int) -> Fraction:
+    """The integral of y^k F_n(y) over [-1, 0], by the schoolbook integral."""
+    return poly_integrate_ref([0] * k + fubini_coeffs_ref(n), -1, 0)
+
+
+def p_bernoulli_ref(n: int, p: int) -> Fraction:
+    """((p+1)/p!) sum_j (-1)^j S1u(p,j) B_{n+j}, term by term in Fractions;
+    S1u from the rising factorial, B from Akiyama-Tanigawa."""
+    s1 = rising_factorial_rows(p)[p]
+    b = bernoulli_akiyama_tanigawa(n + p)
+    acc = sum(((-1) ** j * s1[j] * b[n + j] for j in range(p + 1)), Fraction(0))
+    return Fraction(p + 1, math.factorial(p)) * acc
+
+
+def stirling_bernoulli_sum_ref(k: int, n: int) -> Fraction:
+    """sum_j S1u(k+1, j+1) B_{n+j}, term by term in Fractions."""
+    s1 = rising_factorial_rows(k + 1)[k + 1]
+    b = bernoulli_akiyama_tanigawa(n + k)
+    return sum((s1[j + 1] * b[n + j] for j in range(k + 1)), Fraction(0))
 
 
 def rising_factorial_rows(n_max: int) -> list[list[int]]:

@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fubini import bernoulli_numbers
-from fubini.combinat import stirling2
+from fubini.combinat import MEMO_ROWS, stirling2
 from fubini.bernoulli_numbers import (
     bernoulli,
+    bernoulli_binomial_sum,
     bernoulli_recurrence,
     bernoulli_via_integral,
     double_sum_identity,
@@ -19,10 +22,17 @@ from fubini.bernoulli_numbers import (
     p_bernoulli_even_explicit,
     p_bernoulli_odd_explicit,
     p_bernoulli_shift_relation,
+    stirling_bernoulli_sum,
 )
+from fubini.exact import Poly
 from fubini.polynomials import fubini_poly
 
-from oracles import bernoulli_akiyama_tanigawa
+from oracles import (
+    bernoulli_akiyama_tanigawa,
+    fubini_moment_ref,
+    p_bernoulli_ref,
+    stirling_bernoulli_sum_ref,
+)
 
 
 class TestBernoulli:
@@ -98,6 +108,33 @@ class TestMomentIntegral:
         with pytest.raises(ValueError):
             fubini_moment_integral(2, 0)
 
+    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=20))
+    @example(0, 1)
+    @example(10, 20)
+    def test_matches_polynomial_integral(self, k, n):
+        exact, formula = fubini_moment_integral(k, n)
+        assert exact == fubini_moment_ref(k, n)
+        assert exact == (Poly.monomial(k) * fubini_poly(n)).integrate(-1, 0)
+        assert formula == exact
+
+    @pytest.mark.parametrize("n", [40, MEMO_ROWS + 6])
+    def test_large_index_matches_polynomial_integral(self, n):
+        for k in (0, 3, 10):
+            exact, formula = fubini_moment_integral(k, n)
+            assert exact == formula == fubini_moment_ref(k, n)
+
+
+class TestStirlingBernoulliSum:
+    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=20))
+    @example(0, 0)
+    def test_matches_fraction_reference(self, k, n):
+        assert stirling_bernoulli_sum(k, n) == stirling_bernoulli_sum_ref(k, n)
+
+    @pytest.mark.parametrize("k, n", [(-2, 3), (-1, 0), (2, -1)])
+    def test_negative_index_is_rejected(self, k, n):
+        with pytest.raises(ValueError):
+            stirling_bernoulli_sum(k, n)
+
 
 class TestProductIntegral:
     def test_examples(self):
@@ -105,6 +142,10 @@ class TestProductIntegral:
         assert fubini_product_integral(1, 1) == (Fraction(1, 3), Fraction(1, 3))
         exact, formula = fubini_product_integral(2, 1)
         assert exact == formula == Fraction(-1, 6)
+
+    def test_negative_binomial_index_is_rejected(self):
+        with pytest.raises(ValueError):
+            bernoulli_binomial_sum(-1, 2)
 
     def test_symmetry(self):
         for m in range(1, 9):
@@ -145,6 +186,18 @@ class TestPBernoulli:
         assert p_bernoulli(1, 1) == Fraction(-1, 3)
         assert p_bernoulli(1, 1) == -2 * bernoulli(2)
         assert p_bernoulli(2, 2) == Fraction(-1, 20)
+
+    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=12))
+    @example(0, 0)
+    @example(0, 12)
+    @example(30, 12)
+    def test_matches_fraction_reference(self, n, p):
+        assert p_bernoulli(n, p) == p_bernoulli_ref(n, p)
+
+    @pytest.mark.parametrize("n", [40, MEMO_ROWS + 6])
+    def test_large_index_matches_fraction_reference(self, n):
+        for p in (1, 5, 12):
+            assert p_bernoulli(n, p) == p_bernoulli_ref(n, p)
 
     def test_shift_relation(self):
         for n in range(1, 12):

@@ -26,7 +26,7 @@ from fubini.polynomials import (
     ordered_partition_block_counts,
 )
 
-from oracles import fubini_split_eval_ref, ordered_partitions
+from oracles import fubini_split_eval_ref, fubini_two_var_eval_ref, ordered_partitions
 
 # Frozen from the enumeration oracle (ordered set partitions of n elements).
 FUBINI_NUMBERS = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563]
@@ -131,6 +131,38 @@ class TestTwoVariable:
     def test_scalar_route_matches_bipoly(self, n, x, y):
         assert fubini_two_var_eval(n, x, y) == fubini_two_var(n)(x, y)
 
+    @given(
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=1, max_value=50),
+    )
+    @example(9, 0, 1, 0, 1)
+    @example(9, 0, 7, -3, 5)
+    @example(9, -5, 3, 0, 4)
+    @example(12, -50, 1, -1, 50)
+    @example(6, 10, 20, -2, 4)  # unreduced inputs
+    def test_matches_fraction_reference(self, n, a, b, c, d):
+        x, y = Fraction(a, b), Fraction(c, d)
+        assert fubini_two_var_eval(n, x, y) == fubini_two_var_eval_ref(n, x, y)
+
+    @pytest.mark.parametrize("n", [40, MEMO_ROWS + 6])
+    def test_large_index_matches_fraction_reference(self, n):
+        # F_k above MEMO_ROWS is rebuilt on each call, not memoised.
+        for x, y in [(Fraction(3, 7), Fraction(-5, 4)), (Fraction(-2), Fraction(1, 9))]:
+            assert fubini_two_var_eval(n, x, y) == fubini_two_var_eval_ref(n, x, y)
+        assert max(polynomials._poly_cache) <= MEMO_ROWS
+
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError):
+            fubini_two_var_eval(-1, 1, 1)
+
+    @pytest.mark.parametrize("x, y", [(0.5, 1), (1, 0.5)])
+    def test_float_is_rejected(self, x, y):
+        with pytest.raises(TypeError):
+            fubini_two_var_eval(3, x, y)
+
 
 class TestReflectionForm:
     def test_small_cases(self):
@@ -162,6 +194,10 @@ class TestSplitForm:
     def test_singular_point_rejected(self):
         with pytest.raises(ValueError):
             fubini_split_eval(3, Fraction(-1, 2))
+
+    def test_float_is_rejected(self):
+        with pytest.raises(TypeError):
+            fubini_split_eval(3, 0.5)
 
     @given(
         st.integers(min_value=0, max_value=20),
