@@ -8,9 +8,10 @@ routes are kept: the direct Stirling sum, substitution of
 lambda/(1-lambda) into the Fubini polynomial of index n-1, and an
 alternating power form (valid from index 2 up; its index-1 instance is
 a known erratum and is rejected rather than patched).  The improper
-integrals over (-inf, 0] reduce exactly to finite Fubini integrals via
-the substitution y = lambda/(1-lambda); a numerical quadrature oracle
-cross-checks them independently.
+integrals over (-inf, 0] reduce exactly to the finite Fubini integrals
+over [-1, 0] via the substitution y = lambda/(1-lambda), so both of their
+routes are the Fubini integrals of ``bernoulli_numbers`` times a
+constant; a numerical quadrature oracle cross-checks them independently.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ from fractions import Fraction
 from math import factorial
 from typing import Union
 
-from .bernoulli_numbers import bernoulli_binomial_sum, stirling_bernoulli_sum
+from .bernoulli_numbers import (
+    fubini_moment_integral,
+    fubini_product_integral,
+    fubini_product_integral_exact,
+)
 from .combinat import binomial, stirling2_row
 from .exact import (
     Poly,
     RatFunc,
     Scalar,
+    _exact,
     count_real_roots_nonpositive,
     homogeneous_compose,
 )
@@ -102,7 +108,7 @@ def apostol_split_eval(n: int, lam: Scalar) -> Fraction:
 
     for rational lam different from 1 and -1.
     """
-    lv = Fraction(lam)
+    lv = Fraction(_exact(lam))
     if lv == 1 or lv == -1:
         raise ValueError("split form is singular at lambda = +/-1")
     row = stirling2_row(n)
@@ -122,7 +128,9 @@ def apostol_sum_of_products(n: int, lam: Scalar) -> tuple[Fraction, Fraction]:
     -[A_{n+2}/(n+2) + A_{n+1}/(n+1)]) where A_m is the index-m function
     value at lam.
     """
-    lv = Fraction(lam)
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    lv = _exact(lam)
     if lv == 1:
         raise ValueError("functions have their pole at lambda = 1")
     values = [apostol_bernoulli(m)(lv) for m in range(n + 3)]
@@ -150,17 +158,14 @@ def apostol_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
 
     integral of lambda^k/(lambda-1)^(k+1) times the index-(n+1) function.
 
-    The exact route substitutes y = lambda/(1-lambda), which reduces the
-    integral to (-1)^k (n+1) times the finite moment integral of y^k F_n
-    over [-1, 0]; the formula route is ((n+1)/k!) sum_j S1u(k+1,j+1) B_{n+j}.
+    The substitution y = lambda/(1-lambda) reduces the integral to
+    (-1)^k (n+1) times the finite moment integral of y^k F_n over [-1, 0],
+    so both routes are those of fubini_moment_integral(k, n) scaled by
+    (-1)^k (n+1); the formula route reads ((n+1)/k!) sum_j S1u(k+1,j+1) B_{n+j}.
     """
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    if k < 0:
-        raise ValueError("requires k >= 0")
-    exact = (-1) ** k * (n + 1) * (Poly.monomial(k) * fubini_poly(n)).integrate(-1, 0)
-    formula = Fraction(n + 1, factorial(k)) * stirling_bernoulli_sum(k, n)
-    return exact, formula
+    exact, formula = fubini_moment_integral(k, n)
+    scale = (-1) ** k * (n + 1)
+    return scale * exact, scale * formula
 
 
 def apostol_product_integral_exact(m: int, n: int) -> Fraction:
@@ -169,23 +174,19 @@ def apostol_product_integral_exact(m: int, n: int) -> Fraction:
     The substitution y = lambda/(1-lambda) turns the product into
     (m+1)(n+1) F_m(y) F_n(y) dy over [-1, 0]; valid for all m, n >= 0.
     """
-    if m < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
-    return (m + 1) * (n + 1) * (fubini_poly(m) * fubini_poly(n)).integrate(-1, 0)
+    return (m + 1) * (n + 1) * fubini_product_integral_exact(m, n)
 
 
 def apostol_product_integral(m: int, n: int) -> tuple[Fraction, Fraction]:
     """Both routes of the improper product integral over (-inf, 0]:
 
     integral of the index-(m+1) times the index-(n+1) function equals
-    (-1)^m (m+1)(n+1) sum_j C(m,j) B_{n+j}, for m >= 0, n >= 1.
+    (-1)^m (m+1)(n+1) sum_j C(m,j) B_{n+j}, for m >= 0, n >= 1.  Both
+    routes are those of fubini_product_integral(m, n) scaled by (m+1)(n+1).
     """
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    if m < 0:
-        raise ValueError("requires m >= 0")
-    exact = apostol_product_integral_exact(m, n)
-    return exact, (m + 1) * (n + 1) * bernoulli_binomial_sum(m, n)
+    exact, formula = fubini_product_integral(m, n)
+    scale = (m + 1) * (n + 1)
+    return scale * exact, scale * formula
 
 
 def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) -> float:

@@ -1,4 +1,4 @@
-"""Bernoulli and p-Bernoulli numbers, and the Fubini moment integrals.
+"""Bernoulli and p-Bernoulli numbers, and the Fubini integrals over [-1, 0].
 
 Convention: B_1 = -1/2 (forced by the Stirling-sum construction below);
 odd-index values vanish from B_3 on.  The two-index family B_{n,p} is
@@ -6,10 +6,13 @@ computed from the first-kind Stirling relation and reduces to B_n at
 p = 0.  Integral identities pair an exact polynomial integral with an
 independent Bernoulli-sum route, returning both so callers can compare.
 
-The warm evaluators sum integer numerators over one common denominator
-and build one Fraction per call: a weighted sum of Bernoulli numbers over
-the lcm of their denominators, and the moment integral of y^k F_n over
-lcm(k+1..k+n+1).
+Two kernels do the arithmetic, each one integer sum over one common
+denominator that builds a single Fraction: ``_integral`` integrates
+y^k p(y) over [-1, 0] (B_n as the integral of F_n, the moments of F_n,
+the product integrals of F_m F_n), and ``_bernoulli_combination`` sums
+weighted Bernoulli numbers over the lcm of their denominators (the
+p-Bernoulli numbers and every Bernoulli-sum side).  Each identity passes
+its own weights.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
-from .combinat import binomial, stirling1_row, stirling1_unsigned, stirling2_row
+from .combinat import binomial, stirling1_row, stirling2_row
+from .exact import Poly
 from .polynomials import fubini_poly
 
 _lock = threading.Lock()
@@ -80,16 +84,31 @@ def bernoulli_via_integral(n: int) -> Fraction:
     """B_n as the exact integral of F_n over [-1, 0], for n >= 1."""
     if n < 1:
         raise ValueError("integral representation stated for n >= 1")
-    return fubini_poly(n).integrate(-1, 0)
+    return _integral(fubini_poly(n))
+
+
+def _integral(p: Poly, k: int = 0) -> Fraction:
+    """The integral of y^k * p(y) over [-1, 0], for p = sum_i a_i y^i:
+
+    sum_i a_i (-1)^(k+i) / (k+i+1), one integer sum over
+    lcm(k+1..k+deg p+1) times the denominator of p.
+    """
+    nums = p.numerators
+    den = lcm(*range(k + 1, k + len(nums) + 1))
+    num = 0
+    # m = k + i + 1 runs over the divisors.
+    for m, a in enumerate(nums, k + 1):
+        term = a * (den // m)
+        num += term if m % 2 else -term
+    return Fraction(num, den * p.denominator)
 
 
 def bernoulli_binomial_sum(m: int, n: int) -> Fraction:
     """(-1)^m * sum_{j=0}^{m} C(m,j) * B_{n+j}."""
     if m < 0:
         raise ValueError("requires m >= 0")
-    return (-1) ** m * sum(
-        (binomial(m, j) * bernoulli(n + j) for j in range(m + 1)), Fraction(0)
-    )
+    sign = (-1) ** m
+    return _bernoulli_combination([sign * binomial(m, j) for j in range(m + 1)], n)
 
 
 def _bernoulli_combination(weights: Sequence[int], start: int, divisor: int = 1) -> Fraction:
@@ -108,20 +127,6 @@ def stirling_bernoulli_sum(k: int, n: int) -> Fraction:
     return _bernoulli_combination(stirling1_row(k + 1)[1:], n)
 
 
-def _fubini_moment(k: int, n: int) -> Fraction:
-    """The integral of y^k * F_n(y) over [-1, 0], for F_n = sum_i a_i y^i:
-
-    sum_i a_i (-1)^(k+i) / (k+i+1), one integer sum over lcm(k+1..k+n+1).
-    """
-    den = lcm(*range(k + 1, k + n + 2))
-    num = 0
-    # F_n has integer coefficients; m = k + i + 1 runs over the divisors.
-    for m, a in enumerate(fubini_poly(n).numerators, k + 1):
-        term = a * (den // m)
-        num += term if m % 2 else -term
-    return Fraction(num, den)
-
-
 def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
     """Both routes of the moment integral of y^k * F_n(y) over [-1, 0].
 
@@ -132,9 +137,16 @@ def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("requires n >= 1")
     if k < 0:
         raise ValueError("requires k >= 0")
-    exact = _fubini_moment(k, n)
+    exact = _integral(fubini_poly(n), k)
     formula = Fraction((-1) ** k, factorial(k)) * stirling_bernoulli_sum(k, n)
     return exact, formula
+
+
+def fubini_product_integral_exact(m: int, n: int) -> Fraction:
+    """The exact integral of F_m * F_n over [-1, 0], for m, n >= 0."""
+    if m < 0 or n < 0:
+        raise ValueError("indices must be non-negative")
+    return _integral(fubini_poly(m) * fubini_poly(n))
 
 
 def fubini_product_integral(m: int, n: int) -> tuple[Fraction, Fraction]:
@@ -147,8 +159,7 @@ def fubini_product_integral(m: int, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("requires n >= 1")
     if m < 0:
         raise ValueError("requires m >= 0")
-    exact = (fubini_poly(m) * fubini_poly(n)).integrate(-1, 0)
-    return exact, bernoulli_binomial_sum(m, n)
+    return fubini_product_integral_exact(m, n), bernoulli_binomial_sum(m, n)
 
 
 def double_sum_identity(n: int, m: int) -> tuple[Fraction, Fraction]:
@@ -196,13 +207,10 @@ def p_bernoulli_shift_relation(n: int, p: int) -> tuple[Fraction, Fraction]:
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    lhs = sum(
-        (
-            (-1) ** (j + 1) * stirling1_unsigned(p + 1, j + 1) * bernoulli(n + j)
-            for j in range(p + 1)
-        ),
-        Fraction(0),
-    )
+    if p < 0:
+        raise ValueError("requires p >= 0")
+    weights = [s if j % 2 else -s for j, s in enumerate(stirling1_row(p + 1)[1:])]
+    lhs = _bernoulli_combination(weights, n)
     rhs = Fraction(factorial(p + 1), p + 2) * p_bernoulli(n - 1, p + 1)
     return lhs, rhs
 
@@ -215,6 +223,8 @@ def p_bernoulli_stirling_sum(upper: int, p: int, sign: int) -> Fraction:
     for p >= 1.  The corrected odd form takes (upper, sign) = (2n, 1), the
     corrected even form (2n+1, -1).
     """
+    if p < 1:
+        raise ValueError("requires p >= 1")
     row = stirling2_row(upper)
     acc = sum(
         (
@@ -233,8 +243,6 @@ def p_bernoulli_odd_explicit(n: int, p: int) -> Fraction:
 
     for n >= 1, p >= 1.  Agrees with p_bernoulli(2n-1, p).
     """
-    if p < 1:
-        raise ValueError("requires p >= 1")
     if n < 1:
         raise ValueError("requires n >= 1")
     return p_bernoulli_stirling_sum(2 * n, p, 1)
@@ -247,8 +255,6 @@ def p_bernoulli_even_explicit(n: int, p: int) -> Fraction:
 
     for n >= 1, p >= 1.  Agrees with p_bernoulli(2n, p).
     """
-    if p < 1:
-        raise ValueError("requires p >= 1")
     if n < 1:
         raise ValueError("requires n >= 1")
     return p_bernoulli_stirling_sum(2 * n + 1, p, -1)
@@ -265,7 +271,7 @@ def fubini_moment_parity(p: int, n: int) -> tuple[Fraction, Fraction]:
         raise ValueError("requires n >= 2")
     if p < 0:
         raise ValueError("requires p >= 0")
-    exact = _fubini_moment(p, n)
+    exact = _integral(fubini_poly(n), p)
     sign = (-1) ** p if n % 2 == 1 else (-1) ** (p + 1)
     parity = sign * Fraction(p + 1, p + 2) * p_bernoulli(n - 1, p + 1)
     return exact, parity

@@ -241,7 +241,7 @@ def geometric_moment_partial_sum(n: int, x: Scalar, terms: int) -> Fraction:
     As terms grows this approaches F_n(x/(1-x)) / (1-x); at x = 1/2 the
     limit is 2 * F_n.
     """
-    xv = Fraction(x)
+    xv = _exact(x)
     if abs(xv) >= 1:
         raise ValueError("requires |x| < 1")
     if n < 0 or terms < 0:

@@ -481,23 +481,8 @@ def _printed_eq24(p: dict) -> Check:
     return Check("ne", claimed, poly(y))
 
 
-def _eval_eq25(p: dict) -> Check:
-    exact, formula = bn.fubini_moment_integral(p["k"], p["n"])
-    return Check("eq", exact, formula)
-
-
 def _eval_eq26(p: dict) -> Check:
     return Check("eq", bn.bernoulli_via_integral(p["n"]), bn.bernoulli(p["n"]))
-
-
-def _eval_eq28(p: dict) -> Check:
-    exact, parity = bn.fubini_moment_parity(p["p"], p["n"])
-    return Check("eq", exact, parity)
-
-
-def _eval_eq30(p: dict) -> Check:
-    exact, formula = bn.fubini_product_integral(p["m"], p["n"])
-    return Check("eq", exact, formula)
 
 
 def _eval_eq30_sym(p: dict) -> Check:
@@ -522,11 +507,6 @@ def _eval_eq84(p: dict) -> Check:
     return Check("eq", fp.fubini_split_eval(n, y), fp.fubini_poly(n)(y))
 
 
-def _eval_eq84_collapse(p: dict) -> Check:
-    lhs, rhs = fp.fubini_split_collapse(p["n"])
-    return Check("eq", lhs, rhs)
-
-
 def _eval_eq85(p: dict) -> Check:
     n = p["n"]
     return Check("eq", fp.fubini_number_split_sum(n), Fraction(fp.fubini_number(n)))
@@ -539,18 +519,8 @@ def _eval_eq86(p: dict) -> Check:
     )
 
 
-def _eval_double_sum(p: dict) -> Check:
-    lhs, rhs = bn.double_sum_identity(p["n"], p["m"])
-    return Check("eq", lhs, rhs)
-
-
 def _eval_pb_zero(p: dict) -> Check:
     return Check("eq", bn.p_bernoulli(p["n"], 0), bn.bernoulli(p["n"]))
-
-
-def _eval_pb_shift(p: dict) -> Check:
-    lhs, rhs = bn.p_bernoulli_shift_relation(p["n"], p["p"])
-    return Check("eq", lhs, rhs)
 
 
 def _eval_pb_odd(p: dict) -> Check:
@@ -611,16 +581,6 @@ def _eval_ab_sum_products(p: dict) -> Check:
     return Check("eq", lhs, rhs)
 
 
-def _eval_ab_moment(p: dict) -> Check:
-    exact, formula = ap.apostol_moment_integral(p["k"], p["n"])
-    return Check("eq", exact, formula)
-
-
-def _eval_ab_product(p: dict) -> Check:
-    exact, formula = ap.apostol_product_integral(p["m"], p["n"])
-    return Check("eq", exact, formula)
-
-
 def _printed_ab_product(p: dict) -> Check:
     # Uncorrected variant pairs indices m and n with the prefactor
     # (m+1)(n+1); the true integral of the index-m and index-n
@@ -655,11 +615,6 @@ def _eval_quadrature(p: dict) -> Check:
 def _eval_stirling_inverse(p: dict) -> Check:
     n, m = p["n"], p["m"]
     return Check("eq", cb.stirling_inverse_sum(n, m), int(n == m))
-
-
-def _eval_stirling_cross(p: dict) -> Check:
-    lhs, rhs = cb.stirling_binomial_convolution(p["i"], p["j"])
-    return Check("eq", lhs, rhs)
 
 
 def _printed_stirling_cross(p: dict) -> Check:
@@ -835,7 +790,9 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "int_{-1}^{0} y^k F_n(y) dy = ((-1)^k / k!) sum_j S1u(k+1,j+1) B_{n+j}  (n >= 1)",
         quick=Bounds(k_max=4, n_max=8),
         full=Bounds(k_max=10, n_max=20),
-        grids=((_box(k=0, n=1), _eval_eq25),),
+        grids=(
+            (_box(k=0, n=1), lambda p: Check("eq", *bn.fubini_moment_integral(p["k"], p["n"]))),
+        ),
     ),
     RegistryEntry(
         "eq26_integral",
@@ -850,7 +807,9 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "sign fixed by the parities of n and p  (n >= 2)",
         quick=Bounds(p_max=4, n_max=8),
         full=Bounds(p_max=8, n_max=15),
-        grids=((_box(p=0, n=2), _eval_eq28),),
+        grids=(
+            (_box(p=0, n=2), lambda p: Check("eq", *bn.fubini_moment_parity(p["p"], p["n"]))),
+        ),
     ),
     RegistryEntry(
         "eq30_product_integral",
@@ -859,7 +818,7 @@ _ENTRY_LIST: list[RegistryEntry] = [
         quick=Bounds(m_max=6, n_max=6),
         full=Bounds(m_max=12, n_max=12),
         grids=(
-            (_box(m=0, n=1), _eval_eq30),
+            (_box(m=0, n=1), lambda p: Check("eq", *bn.fubini_product_integral(p["m"], p["n"]))),
             (_box({"sym": 1}, m=1, n=1), _eval_eq30_sym),
         ),
     ),
@@ -886,7 +845,10 @@ _ENTRY_LIST: list[RegistryEntry] = [
         aux_label="symbolic collapse n",
         grids=(
             (_sampled("y"), _eval_eq84),
-            (lambda b: [{"n": n} for n in range(b.aux_max + 1)], _eval_eq84_collapse),
+            (
+                lambda b: [{"n": n} for n in range(b.aux_max + 1)],
+                lambda p: Check("eq", *fp.fubini_split_collapse(p["n"])),
+            ),
         ),
     ),
     RegistryEntry(
@@ -909,7 +871,9 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "(-1)^m sum_j C(m,j) B_{n+j}  (n >= 1)",
         quick=Bounds(n_max=6, m_max=6),
         full=Bounds(n_max=12, m_max=12),
-        grids=((_box(n=1, m=0), _eval_double_sum),),
+        grids=(
+            (_box(n=1, m=0), lambda p: Check("eq", *bn.double_sum_identity(p["n"], p["m"]))),
+        ),
     ),
     RegistryEntry(
         "pb_relation",
@@ -917,7 +881,13 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "((p+1)!/(p+2)) B_{n-1,p+1}  (n >= 1)",
         quick=Bounds(n_max=10, p_max=5),
         full=Bounds(n_max=20, p_max=8),
-        grids=((_box(n=0), _eval_pb_zero), (_box(n=1, p=0), _eval_pb_shift)),
+        grids=(
+            (_box(n=0), _eval_pb_zero),
+            (
+                _box(n=1, p=0),
+                lambda p: Check("eq", *bn.p_bernoulli_shift_relation(p["n"], p["p"])),
+            ),
+        ),
     ),
     RegistryEntry(
         "pb_odd_explicit",
@@ -992,7 +962,9 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "((n+1)/k!) sum_j S1u(k+1,j+1) B_{n+j}  (n >= 1)",
         quick=Bounds(k_max=3, n_max=4),
         full=Bounds(k_max=6, n_max=8),
-        grids=((_box(k=0, n=1), _eval_ab_moment),),
+        grids=(
+            (_box(k=0, n=1), lambda p: Check("eq", *ap.apostol_moment_integral(p["k"], p["n"]))),
+        ),
     ),
     RegistryEntry(
         "ab_product_integral",
@@ -1000,7 +972,9 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "sum_j C(m,j) B_{n+j}  (corrected indices; m >= 0, n >= 1)",
         quick=Bounds(m_max=4, n_max=4),
         full=Bounds(m_max=8, n_max=8),
-        grids=((_box(m=0, n=1), _eval_ab_product),),
+        grids=(
+            (_box(m=0, n=1), lambda p: Check("eq", *ap.apostol_product_integral(p["m"], p["n"]))),
+        ),
         witnesses=(({"m": 1, "n": 1}, _printed_ab_product),),
         erratum=(
             "Pairing the integrand indices as (m, n) with prefactor (m+1)(n+1) "
@@ -1030,7 +1004,12 @@ _ENTRY_LIST: list[RegistryEntry] = [
         "variant fails at i=2, j=0)",
         quick=Bounds(n_max=8, m_max=8),
         full=Bounds(n_max=20, m_max=20),
-        grids=((_cases_stirling_cross, _eval_stirling_cross),),
+        grids=(
+            (
+                _cases_stirling_cross,
+                lambda p: Check("eq", *cb.stirling_binomial_convolution(p["i"], p["j"])),
+            ),
+        ),
         witnesses=(({"i": 2, "j": 0}, _printed_stirling_cross),),
         erratum=(
             "The transposed convolution sum_k S2(i,k) C(k,j) fails at "

@@ -10,10 +10,11 @@ polynomial gcds from Euclid's algorithm over Q, polynomial arithmetic
 from schoolbook formulas on plain lists of Fraction coefficients, and the
 point evaluators of the library (the split form of F_n, the two-variable
 convolution, the moment integral of y^k F_n, the p-Bernoulli numbers and
-the Stirling-weighted Bernoulli sum) term by term in Fractions.  The
-explicit sum is also the formula `combinat.stirling2` uses for a single
-entry above `combinat.MEMO_ROWS`, so `stirling2_explicit` checks only the
-rolled rows of `stirling2_row`, never such an entry.
+the binomial-, Stirling- and shift-weighted Bernoulli sums) term by term
+in Fractions.  The explicit sum is also the formula `combinat.stirling2`
+uses for a single entry above `combinat.MEMO_ROWS`, so
+`stirling2_explicit` checks only the rolled rows of `stirling2_row`,
+never such an entry.
 """
 
 from __future__ import annotations
@@ -145,6 +146,19 @@ def stirling_bernoulli_sum_ref(k: int, n: int) -> Fraction:
     s1 = rising_factorial_rows(k + 1)[k + 1]
     b = bernoulli_akiyama_tanigawa(n + k)
     return sum((s1[j + 1] * b[n + j] for j in range(k + 1)), Fraction(0))
+
+
+def bernoulli_binomial_sum_ref(m: int, n: int) -> Fraction:
+    """(-1)^m sum_j C(m,j) B_{n+j}, term by term in Fractions."""
+    b = bernoulli_akiyama_tanigawa(n + m)
+    return (-1) ** m * sum((math.comb(m, j) * b[n + j] for j in range(m + 1)), Fraction(0))
+
+
+def p_bernoulli_shift_lhs_ref(n: int, p: int) -> Fraction:
+    """sum_j (-1)^(j+1) S1u(p+1, j+1) B_{n+j}, term by term in Fractions."""
+    s1 = rising_factorial_rows(p + 1)[p + 1]
+    b = bernoulli_akiyama_tanigawa(n + p)
+    return sum(((-1) ** (j + 1) * s1[j + 1] * b[n + j] for j in range(p + 1)), Fraction(0))
 
 
 def rising_factorial_rows(n_max: int) -> list[list[int]]:

@@ -107,6 +107,14 @@ class TestSplitForm:
             with pytest.raises(ValueError):
                 apostol_split_eval(2, bad)
 
+    def test_integer_point(self):
+        assert apostol_split_eval(1, 2) == apostol_split_eval(1, Fraction(2)) == -2
+
+    @pytest.mark.parametrize("lam", [0.5, "1/3"])
+    def test_inexact_point_is_rejected(self, lam):
+        with pytest.raises(TypeError):
+            apostol_split_eval(2, lam)
+
     def test_grid(self):
         for n in range(13):
             for lam in LAMBDA_SAMPLES:
@@ -138,6 +146,15 @@ class TestSumOfProducts:
         with pytest.raises(ValueError):
             apostol_sum_of_products(2, Fraction(1))
 
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(ValueError):
+            apostol_sum_of_products(-1, 2)
+
+    @pytest.mark.parametrize("lam", [0.5, "1/3"])
+    def test_inexact_point_is_rejected(self, lam):
+        with pytest.raises(TypeError):
+            apostol_sum_of_products(1, lam)
+
 
 class TestMomentIntegral:
     def test_examples(self):
@@ -155,6 +172,8 @@ class TestMomentIntegral:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             apostol_moment_integral(2, 0)
+        with pytest.raises(ValueError, match="requires k >= 0"):
+            apostol_moment_integral(-1, 1)
 
 
 class TestProductIntegral:
@@ -171,6 +190,14 @@ class TestProductIntegral:
 
     def test_exact_route_at_lowest_indices(self):
         assert apostol_product_integral_exact(0, 0) == 1
+
+    def test_negative_indices_are_rejected(self):
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            apostol_product_integral(0, 0)
+        with pytest.raises(ValueError, match="requires m >= 0"):
+            apostol_product_integral(-1, 1)
+        with pytest.raises(ValueError, match="indices must be non-negative"):
+            apostol_product_integral_exact(-1, 0)
 
     def test_uncorrected_index_placement_fails(self):
         # Pairing indices (m, n) = (1, 1) with prefactor (m+1)(n+1) would

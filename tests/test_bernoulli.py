@@ -18,10 +18,12 @@ from fubini.bernoulli_numbers import (
     fubini_moment_integral,
     fubini_moment_parity,
     fubini_product_integral,
+    fubini_product_integral_exact,
     p_bernoulli,
     p_bernoulli_even_explicit,
     p_bernoulli_odd_explicit,
     p_bernoulli_shift_relation,
+    p_bernoulli_stirling_sum,
     stirling_bernoulli_sum,
 )
 from fubini.exact import Poly
@@ -29,9 +31,20 @@ from fubini.polynomials import fubini_poly
 
 from oracles import (
     bernoulli_akiyama_tanigawa,
+    bernoulli_binomial_sum_ref,
     fubini_moment_ref,
     p_bernoulli_ref,
+    p_bernoulli_shift_lhs_ref,
     stirling_bernoulli_sum_ref,
+)
+
+# The zero polynomial, and polynomials of degree up to 12 whose
+# coefficients are not all integers (denominator above 1).
+rational_polys = st.one_of(
+    st.just(Poly()),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), max_size=13)
+    .map(Poly)
+    .filter(lambda p: p.denominator != 1),
 )
 
 
@@ -85,6 +98,15 @@ class TestBernoulli:
             bernoulli_via_integral(0)
         # the n = 0 equality holds numerically but is not part of the contract
         assert fubini_poly(0).integrate(-1, 0) == bernoulli(0)
+
+
+class TestIntegralKernel:
+    @given(rational_polys, st.integers(min_value=0, max_value=10))
+    @example(Poly(), 10)
+    @example(Poly([Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9)]), 4)
+    def test_matches_poly_integrate(self, p, k):
+        expected = (Poly.monomial(k) * p).integrate(-1, 0)
+        assert bernoulli_numbers._integral(p, k) == expected
 
 
 class TestMomentIntegral:
@@ -147,6 +169,18 @@ class TestProductIntegral:
         with pytest.raises(ValueError):
             bernoulli_binomial_sum(-1, 2)
 
+    def test_negative_exact_index_is_rejected(self):
+        with pytest.raises(ValueError):
+            fubini_product_integral_exact(-1, 0)
+        with pytest.raises(ValueError):
+            fubini_product_integral_exact(0, -1)
+
+    @given(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20))
+    @example(0, 0)
+    @example(20, 20)
+    def test_binomial_sum_matches_fraction_reference(self, m, n):
+        assert bernoulli_binomial_sum(m, n) == bernoulli_binomial_sum_ref(m, n)
+
     def test_symmetry(self):
         for m in range(1, 9):
             for n in range(1, 9):
@@ -204,6 +238,22 @@ class TestPBernoulli:
             for p in range(7):
                 lhs, rhs = p_bernoulli_shift_relation(n, p)
                 assert lhs == rhs
+
+    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=12))
+    @example(1, 0)
+    @example(20, 12)
+    def test_shift_relation_matches_fraction_reference(self, n, p):
+        lhs, rhs = p_bernoulli_shift_relation(n, p)
+        assert lhs == rhs == p_bernoulli_shift_lhs_ref(n, p)
+
+    def test_shift_relation_rejects_negative_p(self):
+        with pytest.raises(ValueError):
+            p_bernoulli_shift_relation(1, -1)
+
+    def test_stirling_sum_rejects_p_below_one(self):
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                p_bernoulli_stirling_sum(2, p, 1)
 
     def test_odd_explicit_examples(self):
         assert p_bernoulli_odd_explicit(1, 1) == Fraction(-1, 3)

@@ -260,3 +260,8 @@ class TestGeometricMoments:
             geometric_moment_partial_sum(1, Fraction(1), 10)
         with pytest.raises(ValueError):
             geometric_moment_partial_sum(1, Fraction(-3, 2), 10)
+
+    @pytest.mark.parametrize("x", [0.5, "1/3"])
+    def test_inexact_point_is_rejected(self, x):
+        with pytest.raises(TypeError):
+            geometric_moment_partial_sum(2, x, 3)
