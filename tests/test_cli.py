@@ -79,10 +79,20 @@ OUTPUT_SHA256 = {
         "2fdc8487f8bba0428abc44ca7ea3caba9098eddc44a26f8e5e80a46c7c39b4ea",
         "25c52deeac28bcd18c41bc52a36a2a5dc5fff3e9b9d110ff9a20ef5d28c4d4e0",
     ),
+    "compute bernoulli --n 300": (
+        "835cfac00e38e22667a54985c927fbd461000067ac02893333845c2d44e6c995",
+        "4a06768151fcb5a4a5a492937cd1fe196ad2dc4c448ea306a7425e71d2df91ae",
+        "47512f85ae3864820d45a163b3ef9be616655ef236711f32fd4cdb8942b083e3",
+    ),
     "compute p-bernoulli --n 9 --p 4": (
         "aa3526daefdeea483ef8b0203b5f066035c087eeb84ec41a240dfea9d1fbb1e0",
         "d87b9d95db1128ddea68bb4b0f033f3a3e8247dd8d4cecbabb4ffda538498f79",
         "cb0e455f837ef3f0f609eae5ebade6a4f2cbf4abdba4c8585742f945d76aca95",
+    ),
+    "compute p-bernoulli --n 200 --p 30": (
+        "654677b601a513ee8fbc441c914174c080e882c75f7dca5721a1311744005051",
+        "97e52eafe6057f526e03e682555ea7768f3bfe91b5e3d8a3433f1d61e5288de2",
+        "ab181d0c738ab3ce56d805f3174b4a0c0ddbae4d0a6d3106f39f7e418aa79f71",
     ),
     "compute apostol --n 6": (
         "89f7cff27298edeb4215246fe667c48cdbcfee7b2f0e7fef3277d68c397ecaf8",
@@ -113,6 +123,11 @@ OUTPUT_SHA256 = {
         "a5e0d377b8998fe2419e7d5e134fcc8228370bbd3316db0b774a9b475c53330b",
         "c1b0b45138015244a157534c6327fd184421a5abbf2c40abbb1674e66e7510fc",
         "6a8759f3fc1f9ff4bb12259e884357b95da9eeb75de79fa6de5838eefcdf8b08",
+    ),
+    "table bernoulli --n-max 120": (
+        "e4bdab7b539c667f8eacbe5ba121b86b46bd33332c3c88453d38c3ac841088d9",
+        "f0dc74db82a929430b05da48a6141926a741a59ae3f638755c6e622b027f4789",
+        "28f2235559f9479c12e50c9c9662c61011b007cd699065e29a45155be31ccd33",
     ),
     "table p-bernoulli --n-max 6 --p-max 3": (
         "f0018e1f47a09a93797ee66e30e5a5020c5b2cbaca806f0861f8cc14fc7663b8",
