@@ -1,7 +1,12 @@
 """Bernoulli and p-Bernoulli numbers, and the Fubini integrals over [-1, 0].
 
-Convention: B_1 = -1/2 (forced by the Stirling-sum construction below);
-odd-index values vanish from B_3 on.  The two-index family B_{n,p} is
+Convention: B_1 = -1/2 (the value of the Stirling sum that gives B_n up to
+combinat.MEMO_ROWS); odd-index values vanish from B_3 on.  Above MEMO_ROWS
+no Stirling row is read: an odd-index B_n is 0 at once, and an even one
+comes from a tangent number.  The tangent numbers are the last entries of
+Knuth and Buckholtz's triangle (Math. Comp. 21, 1967), built column by
+column; the last column built is kept as a cursor, so ascending requests
+extend it by one column per index.  The two-index family B_{n,p} is
 computed from the first-kind Stirling relation and reduces to B_n at
 p = 0.  Integral identities pair an exact polynomial integral with an
 independent Bernoulli-sum route, returning both so callers can compare.
@@ -23,7 +28,7 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
-from .combinat import binomial, stirling1_row, stirling2_row
+from .combinat import MEMO_ROWS, binomial, stirling1_row, stirling2_row
 from .exact import Poly
 from .polynomials import fubini_poly
 
@@ -33,10 +38,21 @@ _bernoulli_cache: dict[int, Fraction] = {}
 # over their least common denominator; as B_0 = 1, nums[0] is that denominator.
 _recurrence_cache: list[Fraction] = [Fraction(1)]
 _recurrence_nums: list[int] = [1]
+# The last column built of the tangent-number triangle: column N holds N
+# entries and ends with T_N, so T_1 = 1 starts it.
+_tangent_column: list[int] = [1]
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n = sum_k S2(n,k) * (-1)^k * k! / (k+1), one integer sum over lcm(1..n+1)."""
+    """B_n, computed once per index.
+
+    Up to MEMO_ROWS: B_n = sum_k S2(n,k) * (-1)^k * k! / (k+1), one integer
+    sum over lcm(1..n+1).  Above it, B_n = 0 for odd n, and for n = 2k
+
+        B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)),
+
+    where T_k is the k-th tangent number (see ``_tangent``).
+    """
     if n < 0:
         raise ValueError("index must be non-negative")
     value = _bernoulli_cache.get(n)
@@ -44,14 +60,45 @@ def bernoulli(n: int) -> Fraction:
         return value
     with _lock:
         if n not in _bernoulli_cache:
-            den = lcm(*range(1, n + 2))
-            num, factorial_k = 0, 1
-            for k, s in enumerate(stirling2_row(n)):
-                term = s * factorial_k * (den // (k + 1))
-                num += -term if k % 2 else term
-                factorial_k *= k + 1
-            _bernoulli_cache[n] = Fraction(num, den)
+            if n <= MEMO_ROWS:
+                den = lcm(*range(1, n + 2))
+                num, factorial_k = 0, 1
+                for k, s in enumerate(stirling2_row(n)):
+                    term = s * factorial_k * (den // (k + 1))
+                    num += -term if k % 2 else term
+                    factorial_k *= k + 1
+                value = Fraction(num, den)
+            elif n % 2:
+                value = Fraction(0)
+            else:
+                k = n // 2
+                power = 4**k
+                value = Fraction((-1) ** (k - 1) * n * _tangent(k), power * (power - 1))
+            _bernoulli_cache[n] = value
     return _bernoulli_cache[n]
+
+
+def _tangent(k: int) -> int:
+    """The tangent number T_k (1, 2, 16, 272, ...), for k >= 1; call under _lock.
+
+    Knuth and Buckholtz's triangle, built column by column: from column N,
+    (C_1..C_N), the next column is c_1 = N C_1 and
+    c_j = (N+1-j) C_j + (N+3-j) c_{j-1} for j = 2..N+1, with C_{N+1} = 0,
+    so that c_{N+1} = 2 c_N = T_{N+1}.  The last column is kept, so
+    ascending requests cost one column per new index; a request below it
+    starts again from column 1.
+    """
+    col = _tangent_column if len(_tangent_column) <= k else [1]
+    while len(col) < k:
+        c, nxt = 0, []
+        # w = N+1-j runs from N down to 1.
+        for w, t in zip(range(len(col), 0, -1), col):
+            c = w * t + (w + 2) * c
+            nxt.append(c)
+        nxt.append(2 * c)
+        col = nxt
+    _tangent_column[:] = col
+    return col[-1]
 
 
 def bernoulli_recurrence(n: int) -> Fraction:

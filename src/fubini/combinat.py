@@ -111,6 +111,8 @@ def stirling_binomial_convolution(i: int, j: int) -> tuple[int, int]:
     S2(3,1) = 1); the catalog keeps that variant as an asserted-failure
     witness.
     """
+    if i < 0 or j < 0:
+        raise ValueError("indices must be non-negative")
     lhs = sum(binomial(i, k) * stirling2(k, j) for k in range(i + 1))
     return lhs, stirling2(i + 1, j + 1)
 
@@ -118,4 +120,6 @@ def stirling_binomial_convolution(i: int, j: int) -> tuple[int, int]:
 def stirling_inverse_sum(n: int, m: int) -> int:
     """sum_k s1_signed(n,k) * S2(k,m); the Stirling matrices are mutually inverse,
     so this is 1 when n == m and 0 otherwise."""
+    if n < 0 or m < 0:
+        raise ValueError("indices must be non-negative")
     return sum(stirling1_signed(n, k) * stirling2(k, m) for k in range(n + 1))

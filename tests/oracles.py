@@ -171,15 +171,24 @@ def rising_factorial_rows(n_max: int) -> list[list[int]]:
     return rows
 
 
+# The Akiyama-Tanigawa work row and the values it has produced so far.
+_at_work: list[Fraction] = []
+_at_values: list[Fraction] = []
+
+
 def bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
-    """B_0..B_n_max with B_1 = -1/2, by the Akiyama-Tanigawa transform."""
-    work = [Fraction(0)] * (n_max + 1)
-    out = []
-    for m in range(n_max + 1):
-        work[m] = Fraction(1, m + 1)
+    """B_0..B_n_max with B_1 = -1/2, by the Akiyama-Tanigawa transform.
+
+    Step m of the transform touches only work[0..m], so the table is kept
+    and a later call runs only the steps it has not seen.
+    """
+    work, values = _at_work, _at_values
+    for m in range(len(values), n_max + 1):
+        work.append(Fraction(1, m + 1))
         for j in range(m, 0, -1):
             work[j - 1] = j * (work[j - 1] - work[j])
-        out.append(work[0])
+        values.append(work[0])
+    out = values[: n_max + 1]
     # The transform produces B_1 = +1/2; flip to the convention used here.
     if n_max >= 1:
         out[1] = -out[1]

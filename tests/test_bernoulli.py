@@ -86,6 +86,15 @@ class TestBernoulli:
         assert bernoulli_recurrence(40) == Fraction(-261082718496449122051, 13530)
         assert bernoulli_recurrence(12) == Fraction(-691, 2730)
 
+    def test_odd_index_above_the_memo_is_zero_at_once(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an odd index reads no tangent number")
+
+        monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+        monkeypatch.setattr(bernoulli_numbers, "_tangent", forbidden)
+        assert bernoulli(MEMO_ROWS + 1) == 0
+        assert bernoulli(10**6 + 1) == 0
+
     def test_integral_route(self):
         assert bernoulli_via_integral(1) == Fraction(-1, 2)
         assert bernoulli_via_integral(2) == Fraction(1, 6)
@@ -98,6 +107,56 @@ class TestBernoulli:
             bernoulli_via_integral(0)
         # the n = 0 equality holds numerically but is not part of the contract
         assert fubini_poly(0).integrate(-1, 0) == bernoulli(0)
+
+
+# Above MEMO_ROWS an even-index B_n comes from a tangent number, and the
+# tangent triangle is extended from its last column; these orders make that
+# cursor step forward, restart from column 1, and jump back and forth.
+HIGH_INDICES = [*range(MEMO_ROWS + 1, 201), 300, 301]
+INDEX_ORDERS = {
+    "ascending": HIGH_INDICES,
+    "descending": HIGH_INDICES[::-1],
+    "interleaved": [n for pair in zip(HIGH_INDICES, HIGH_INDICES[::-1]) for n in pair],
+}
+
+
+class TestAboveTheMemo:
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+        monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
+
+    def test_first_tangent_numbers(self, monkeypatch):
+        monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
+        with bernoulli_numbers._lock:
+            tangents = [bernoulli_numbers._tangent(k) for k in range(1, 8)]
+            assert bernoulli_numbers._tangent(3) == 16  # below the cursor
+        assert tangents == [1, 2, 16, 272, 7936, 353792, 22368256]
+
+    @pytest.mark.parametrize("order", sorted(INDEX_ORDERS))
+    def test_matches_akiyama_tanigawa(self, cold, order):
+        oracle = bernoulli_akiyama_tanigawa(HIGH_INDICES[-1])
+        for n in INDEX_ORDERS[order]:
+            assert bernoulli(n) == oracle[n], n
+
+    def test_reads_no_stirling_row(self, cold, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("B_n above MEMO_ROWS must not read a Stirling row")
+
+        monkeypatch.setattr(bernoulli_numbers, "stirling2_row", forbidden)
+        oracle = bernoulli_akiyama_tanigawa(301)
+        for n in (301, 300, MEMO_ROWS + 1, MEMO_ROWS + 2, 150):
+            assert bernoulli(n) == oracle[n], n
+
+    def test_values_are_cached(self, cold):
+        assert bernoulli(300) is bernoulli(300)
+        assert bernoulli(301) is bernoulli(301)
+
+    def test_last_column_is_kept(self, cold):
+        bernoulli(300)
+        assert len(bernoulli_numbers._tangent_column) == 150
+        bernoulli(200)  # below the cursor: restarts from column 1
+        assert len(bernoulli_numbers._tangent_column) == 100
 
 
 class TestIntegralKernel:
@@ -232,6 +291,12 @@ class TestPBernoulli:
     def test_large_index_matches_fraction_reference(self, n):
         for p in (1, 5, 12):
             assert p_bernoulli(n, p) == p_bernoulli_ref(n, p)
+
+    def test_above_the_memo_matches_fraction_reference(self):
+        # Every B_{n+j} here, j <= 12, comes from a tangent number.
+        for n in range(MEMO_ROWS + 1, 121):
+            for p in range(13):
+                assert p_bernoulli(n, p) == p_bernoulli_ref(n, p), (n, p)
 
     def test_shift_relation(self):
         for n in range(1, 12):

@@ -126,6 +126,18 @@ class TestConvolutions:
             for m in range(20):
                 assert stirling_inverse_sum(n, m) == (1 if n == m else 0)
 
+    # A negative first index made the sums empty: (0, 0) passed as an
+    # identity and the inverse sum read 0.
+    @pytest.mark.parametrize("i, j", [(-1, 0), (-2, -1), (2, -1)])
+    def test_binomial_convolution_rejects_negative_indices(self, i, j):
+        with pytest.raises(ValueError, match="indices must be non-negative"):
+            stirling_binomial_convolution(i, j)
+
+    @pytest.mark.parametrize("n, m", [(-1, 2), (-3, -3), (2, -1)])
+    def test_inverse_sum_rejects_negative_indices(self, n, m):
+        with pytest.raises(ValueError, match="indices must be non-negative"):
+            stirling_inverse_sum(n, m)
+
 
 def test_weighted_row_sums_give_ordered_bell_numbers():
     # cross-module: sum_k S2(n,k) * k! equals the ordered-partition count

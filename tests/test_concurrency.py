@@ -37,6 +37,7 @@ def test_concurrent_readers_see_single_threaded_values(monkeypatch):
     # The threads then build every Bernoulli number and every memoised F_n
     # again, racing each other.
     monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+    monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
     monkeypatch.setattr(polynomials, "_poly_cache", {})
     for seed, values in enumerate(expected):
         assert values["bern_high"] == bernoulli_recurrence(HIGH[seed])
@@ -50,6 +51,31 @@ def test_concurrent_readers_see_single_threaded_values(monkeypatch):
         sys.setswitchinterval(interval)
     for seed, result in enumerate(results):
         assert result == expected[seed % len(HIGH)]
+
+
+def test_concurrent_high_bernoulli_numbers_are_computed_once(monkeypatch):
+    # Even indices above the memo extend one tangent-number column; threads
+    # asking in opposite orders make it restart from column 1.
+    indices = [MEMO_ROWS + 1 + 9 * i for i in range(12)]  # odd and even
+    monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+    monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
+
+    def read(seed: int) -> list:
+        order = indices if seed % 2 else indices[::-1]
+        values = {n: bernoulli(n) for n in order}
+        return [values[n] for n in indices]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(read, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, n in enumerate(indices):
+        first = results[0][i]
+        assert all(result[i] is first for result in results), n
+        assert first == bernoulli_recurrence(n), n
 
 
 def test_cached_values_are_shared_not_recomputed():
