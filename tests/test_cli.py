@@ -27,7 +27,8 @@ QUICK_REPORT_SHA256 = "c75767630cdafb6175acbe4b12ff370392b9732f054f22497410b2765
 # sha256 of the output of each command in the plain, json and csv formats.
 # For `verify`, elapsed_us is removed first: from each json report, and as
 # the last csv column (the digest is then taken of the remaining rows as
-# JSON).  Pins every compute object, with --at where it applies.
+# JSON).  Pins every compute object, with --at where it applies, and the
+# Bernoulli queries whose indices pass combinat.MEMO_ROWS.
 OUTPUT_SHA256 = {
     "compute stirling1 --n 12 --k 5": (
         "a86dee65a2ca647acb73887ad92150e48b1bc15d8ba62b36ea39ac4ad17e02db",
