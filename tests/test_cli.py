@@ -115,6 +115,11 @@ OUTPUT_SHA256 = {
         "c559f2b2edbeb9810442ef5fa107d308e3c419864737cd6ac74239464f447f8c",
         "bec5258152485df1d0820c9585fa55633bcf156451cd66d7ca811a212637980e",
     ),
+    "compute apostol --n 100": (
+        "4322463723e7d70e9ce9004582c27e92bd17efd40f113e85be3bb1aad4dcb743",
+        "67bcf614fdc140ed481bc01b4ea5ad43eb81e94cb97651420265acc26b2f654e",
+        "aca59c0390270058a500562b8f9fc1de29d95031b07dc2df794066a5f01bfa7b",
+    ),
     "verify eq24_corrected_split": (
         "6fe437a1331cdcb792c07789b9d9766ba5ef28f1f95c9a37b225f785bc9bf81c",
         "6c5461e9f09229a7b7ffd0c39d1b0d395c36fc9ce0c3d9721fb99861b08614a0",
