@@ -1,24 +1,25 @@
 """Apostol-Bernoulli functions as exact rational functions of lambda.
 
 Each index n yields a rational function whose only pole sits at
-lambda = 1 with order at most n.  Every route writes it as one integer
-polynomial over (lambda-1)^n and canonicalises that quotient once, so
-no route adds or multiplies rational functions.  Three construction
-routes are kept: the direct Stirling sum, substitution of
-lambda/(1-lambda) into the Fubini polynomial of index n-1, and an
-alternating power form (valid from index 2 up; its index-1 instance is
-a known erratum and is rejected rather than patched).  The improper
-integrals over (-inf, 0] reduce exactly to the finite Fubini integrals
-over [-1, 0] via the substitution y = lambda/(1-lambda), so both of their
-routes are the Fubini integrals of ``bernoulli_numbers`` times a
-constant; a numerical quadrature oracle cross-checks them independently.
+lambda = 1 with order at most n: the one shape a ``RatFunc`` holds.
+Every route writes it as one integer polynomial over (lambda-1)^n and
+canonicalises that quotient once, so no route adds or multiplies
+rational functions.  Three construction routes are kept: the direct
+Stirling sum, substitution of lambda/(1-lambda) into the Fubini
+polynomial of index n-1, and an alternating power form (valid from
+index 2 up; its index-1 instance is a known erratum and is rejected
+rather than patched).  The improper integrals over (-inf, 0] reduce
+exactly to the finite Fubini integrals over [-1, 0] via the substitution
+y = lambda/(1-lambda), so both of their routes are the Fubini integrals
+of ``bernoulli_numbers`` times a constant; a numerical quadrature oracle
+cross-checks them independently.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 from typing import Union
 
 from .bernoulli_numbers import (
@@ -27,14 +28,7 @@ from .bernoulli_numbers import (
     fubini_product_integral_exact,
 )
 from .combinat import binomial, stirling2_row
-from .exact import (
-    Poly,
-    RatFunc,
-    Scalar,
-    _exact,
-    count_real_roots_nonpositive,
-    homogeneous_compose,
-)
+from .exact import Poly, RatFunc, Scalar, _exact, homogeneous_compose
 from .polynomials import fubini_poly
 
 _LAMBDA = Poly.variable()
@@ -192,13 +186,12 @@ def apostol_product_integral(m: int, n: int) -> tuple[Fraction, Fraction]:
 def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) -> float:
     """Numerically integrate a rational function over (-inf, 0].
 
-    Requires that f has no pole on (-inf, 0] (checked exactly by Sturm
-    chains) and decays at least like 1/lambda^2.  The domain is
-    compactified by lambda = -t/(1-t) with t in [0, 1).  The transformed
-    integrand is the quotient N(t)/D(t) of two integer polynomials, the
-    homogenised substitutions of f's numerator and denominator; D has no
-    zero on [0, 1] (at t = 1 it is plus or minus f's leading denominator
-    coefficient), so adaptive quadrature applies directly.  Each node is
+    Requires that f decays at least like 1/lambda^2; its only pole, at
+    lambda = 1, lies off the domain because a ``RatFunc`` has no other.
+    The domain is compactified by lambda = -t/(1-t) with t in [0, 1).
+    With f = N/(lambda-1)^k the transformed integrand is (-1)^k times the
+    homogenised substitution of N times a power of (1-t): one integer
+    polynomial in t, since (lambda-1)^k (1-t)^k = (-1)^k.  Each node is
     evaluated exactly and rounded once, so the integrand is accurate to
     half an ulp whatever its degree.
 
@@ -209,30 +202,30 @@ def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) 
     bit-identical to ``scipy.integrate.quad`` with the same tolerances.
     Otherwise the subinterval with the largest error estimate is bisected,
     up to 200 subintervals, without scipy's extrapolation; the value then
-    agrees with scipy's to within tol.  An error estimate above tol raises
+    agrees with scipy's to within tol.  A tol that is not positive and
+    finite raises ``ValueError``.  An error estimate above tol raises
     ``ArithmeticError``, so a returned value carries absolute error at
     most tol.
     """
     tol = float(tol)
+    if not (tol > 0 and isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if f.is_zero():
         return 0.0
-    decay = f.den.degree - f.num.degree
+    k = f.den.degree
+    decay = k - f.num.degree
     if decay < 2:
         raise ValueError("integrand must decay at least like 1/lambda^2")
-    if count_real_roots_nonpositive(f.den) > 0:
-        raise ValueError("integrand has a pole on (-inf, 0]")
     # lambda = -t/(1-t) turns the integral over (-inf, 0] into the
     # integral over [0, 1] of f(-t/(1-t)) / (1-t)^2 dt, which is
-    # num_t/den_t * (1-t)^(decay-2) with num_t, den_t the homogenised
-    # substitutions of f.num and f.den.
+    # (-1)^k (1-t)^(decay-2) times the homogenised substitution of f.num.
     minus_t, one_minus_t = Poly([0, -1]), Poly([1, -1])
-    num_t = homogeneous_compose(f.num, minus_t, one_minus_t) * one_minus_t ** (decay - 2)
-    den_t = homogeneous_compose(f.den, minus_t, one_minus_t)
+    substituted = homogeneous_compose(f.num, minus_t, one_minus_t)
+    num_t = (-1) ** k * substituted * one_minus_t ** (decay - 2)
 
     def integrand(t: float) -> float:
         # A float node is a dyadic rational: evaluate exactly, round once.
-        x = Fraction(t)
-        return float(num_t(x) / den_t(x))
+        return float(num_t(Fraction(t)))
 
     # Imported on first use, so that `import fubini` costs nothing more
     # for the many commands that never integrate.

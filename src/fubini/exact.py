@@ -12,8 +12,10 @@ Every value in this package is built from these representations:
   rectangular grid ``numerators[i][j]`` for the coefficient of
   ``x^i y^j`` (trailing all-zero rows and columns trimmed) over one
   positive integer ``denominator``,
-* ``RatFunc`` is a quotient of two ``Poly`` values kept in canonical
-  form: numerator and denominator coprime, denominator monic.
+* ``RatFunc`` is a ``Poly`` numerator over a power (x-1)^k, the one
+  pole an Apostol-Bernoulli function has, in lowest terms: (x-1) does
+  not divide the numerator when k > 0.  A denominator with any other
+  root is rejected.
 
 ``Poly`` and ``BiPoly`` are canonical too: the gcd of the denominator and
 all numerators is 1, and the zero polynomial is stored as ``((), 1)``.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -410,142 +413,6 @@ def homogeneous_compose(p: Poly, num: Poly, den: Poly) -> Poly:
     return _poly(acc, p.denominator * (nd * ed) ** p.degree)
 
 
-# Division and gcds work on integer coefficient lists (lowest power first,
-# no trailing zeros).  The Fraction coefficients of a Euclidean remainder
-# sequence over Q grow far beyond the size of its inputs; the primitive
-# remainder sequence over Z keeps every remainder content-free instead.
-
-
-def _content(ints: Sequence[int]) -> tuple[int, list[int]]:
-    """Write a nonzero integer list as content * primitive list.
-
-    The primitive list has coprime entries and a positive leading entry;
-    the content carries the sign.
-    """
-    content = math.gcd(*ints)
-    if ints[-1] < 0:
-        content = -content
-    if content == 1:
-        return 1, list(ints)
-    return content, [c // content for c in ints]
-
-
-def _pseudo_divmod(u: Sequence[int], v: Sequence[int]) -> tuple[int, list[int], list[int]]:
-    """(s, q, r) with s*u = q*v + r over Z, deg r < deg v, r trimmed.
-
-    Each step cancels the top term of the running remainder r with the
-    smallest integer multiples a*r - b*x^k*v, and scales q and s by the
-    same a, so s, q and r stay as small as exact division over Z allows.
-    Requires deg u >= deg v >= 0.
-    """
-    lead = v[-1]
-    dv = len(v) - 1
-    r = list(u)
-    quo = [0] * (len(u) - dv)
-    s = 1
-    for k in range(len(quo) - 1, -1, -1):
-        top = r.pop()
-        if top:
-            g = math.gcd(top, lead)
-            a, b = lead // g, top // g
-            if a != 1:
-                r = [a * c for c in r]
-                quo = [a * c for c in quo]
-                s *= a
-            quo[k] = b
-            for i in range(dv):
-                r[k + i] -= b * v[i]
-    return s, quo, _trimmed(r)
-
-
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Polynomial long division over the rationals: num = q*den + r, deg r < deg den."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if num.degree < den.degree:
-        return Poly(), num
-    # s*u = q*v + r on the numerators gives
-    # u/du = (q*dv / (s*du)) * (v/dv) + r / (s*du).
-    s, quo, rem = _pseudo_divmod(num.numerators, den.numerators)
-    scale = s * num.denominator
-    return (
-        _poly([den.denominator * c for c in quo], scale),
-        _poly(rem, scale),
-    )
-
-
-def _int_gcd(u: list[int], v: list[int]) -> list[int]:
-    """Primitive gcd of two primitive integer lists, by the primitive PRS.
-
-    The primitive polynomial remainder sequence (Knuth, TAOCP vol. 2
-    §4.6.1; Collins 1967) replaces each Euclidean remainder by the
-    primitive part of a pseudo-remainder.  Both inputs must be nonzero,
-    primitive and have positive leading entries; so has the result.
-    """
-    if len(u) < len(v):
-        u, v = v, u
-    while len(v) > 1:
-        r = _pseudo_divmod(u, v)[2]
-        if not r:
-            return v
-        u, v = v, _content(r)[1]
-    return [1]
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; zero only when both inputs are zero.
-
-    Computed over the integers by the primitive remainder sequence.
-    """
-    if a.is_zero() and b.is_zero():
-        return Poly()
-    if a.is_zero() or b.is_zero():
-        g = _content((a or b).numerators)[1]
-    else:
-        g = _int_gcd(_content(a.numerators)[1], _content(b.numerators)[1])
-    # A primitive list with a positive leading entry, over that entry, is canonical.
-    return _raw_poly(tuple(g), g[-1])
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_variations(signs: Sequence[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for u, v in zip(seq, seq[1:]) if u != v)
-
-
-def count_real_roots_nonpositive(p: Poly) -> int:
-    """Number of distinct real roots of ``p`` in (-inf, 0], by Sturm chains.
-
-    Exact over rational arithmetic; multiple roots are counted once.
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no root count")
-    if p.degree == 0:
-        return 0
-    square_free, _ = poly_divmod(p, poly_gcd(p, p.derivative()))
-    at_zero = 0
-    if square_free(0) == 0:
-        # Pull out the (simple, after square-free reduction) root at the
-        # endpoint so the Sturm endpoints are non-roots.
-        at_zero = 1
-        square_free, _ = poly_divmod(square_free, Poly.variable())
-    if square_free.degree == 0:
-        return at_zero
-    chain = [square_free, square_free.derivative()]
-    while not chain[-1].is_zero():
-        _, r = poly_divmod(chain[-2], chain[-1])
-        chain.append(-r)
-    chain.pop()
-    # Signs at -inf come from the leading coefficients and degree parity.
-    at_minus_inf = [_sign(q.leading_coefficient()) * (-1) ** q.degree for q in chain]
-    at_origin = [_sign(q(0)) for q in chain]
-    negatives = _sign_variations(at_minus_inf) - _sign_variations(at_origin)
-    return negatives + at_zero
-
-
 def _bipoly(grid: list[list[int]], den: int = 1) -> "BiPoly":
     """BiPoly of a grid of integer numerators over a nonzero ``den``, canonicalised."""
     while grid and not any(grid[-1]):
@@ -788,14 +655,31 @@ class BiPoly:
         return "".join(parts)
 
 
-class RatFunc:
-    """Quotient of two polynomials in canonical form.
+def _divide_by_x_minus_1(nums: Sequence[int], limit: int) -> tuple[Sequence[int], int]:
+    """(q, m) with nums = q * (x-1)^m, m as large as possible up to ``limit``.
 
-    Canonical means: the denominator is monic and nonzero, numerator and
-    denominator are coprime, and the zero function is 0/1.  Two RatFunc
+    ``nums`` is a nonzero integer list.  Synthetic division by (x-1) leaves
+    the remainder sum(nums) and the quotient whose entry i is
+    sum(nums[i+1:]), so (x-1) divides exactly while the sum is 0.
+    """
+    m = 0
+    while m < limit and sum(nums) == 0:
+        nums = list(accumulate(reversed(nums[1:])))[::-1]
+        m += 1
+    return nums, m
+
+
+class RatFunc:
+    """Rational function num / (x-1)^k, whose only possible pole is x = 1.
+
+    Every rational function in this package has this shape: an
+    Apostol-Bernoulli function has its one pole at 1.  Canonical means:
+    the denominator is exactly (x-1)^k, (x-1) does not divide the
+    numerator when k > 0, and the zero function is 0/1.  Two RatFunc
     values are equal exactly when their canonical fields are equal.
-    Construction cancels the common factor on the integer numerators of
-    both sides: primitive gcd, then exact integer division.
+    Construction accepts any denominator c*(x-1)^k and raises
+    ``ValueError`` for one with another root.  It strips the root at 1
+    from the integer numerators of both sides by synthetic division.
     """
 
     __slots__ = ("num", "den")
@@ -805,25 +689,20 @@ class RatFunc:
             raise TypeError("RatFunc takes Poly numerator and denominator")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        rest, k = _divide_by_x_minus_1(den.numerators, den.degree)
+        if len(rest) != 1:
+            raise ValueError(f"denominator {poly_str(den, 'x')} is not c*(x-1)^k")
         if num.is_zero():
-            num, den = Poly(), Poly([1])
+            num, k = Poly(), 0
         else:
-            # num/den = (cn/dn) / (cd/dd) * pn/pd with pn, pd primitive
-            # integer lists; dividing both by their primitive gcd leaves
-            # them coprime, and pd over its positive leading entry is monic.
-            # g divides both exactly in Z[x] (Gauss's lemma) and has a
-            # positive leading entry, so the pseudo-division multiplier is 1.
-            cn, pn = _content(num.numerators)
-            cd, pd = _content(den.numerators)
-            g = _int_gcd(pn, pd)
-            pn, pd = _pseudo_divmod(pn, g)[1], _pseudo_divmod(pd, g)[1]
-            lead = pd[-1]
-            scale = Fraction(cn * den.denominator, num.denominator * cd * lead)
-            # A primitive list times a reduced fraction is already canonical.
-            num = _raw_poly(tuple(scale.numerator * c for c in pn), scale.denominator)
-            den = _raw_poly(tuple(pd), lead)
+            # num/den = (u/du) * (x-1)^m / ((c/dd) * (x-1)^k) with u an
+            # integer list and m <= k; what is left over (x-1)^(k-m) is
+            # u * dd / (du * c).
+            u, m = _divide_by_x_minus_1(num.numerators, k)
+            num = _poly([den.denominator * c for c in u], num.denominator * rest[0])
+            k -= m
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", Poly([-1, 1]) ** k)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -879,17 +758,6 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RatFunc":
-        other = self._as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return self._as_ratfunc(other) / self
-
     def __pow__(self, exponent: int) -> "RatFunc":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("rational function powers must be non-negative integers")
@@ -922,14 +790,10 @@ class RatFunc:
 
 
 def ratfunc_str(f: RatFunc, var: str) -> str:
-    """Render as ``num/den``, collapsing denominators that are powers of (var-1)."""
+    """Render as ``num/den``, the denominator written as a power of (var-1)."""
     num = poly_str(f.num, var)
     if f.is_polynomial():
         return num
     d = f.den.degree
-    if f.den == Poly([-1, 1]) ** d:
-        den = f"({var}-1)" if d == 1 else f"({var}-1)^{d}"
-    else:
-        den = f"({poly_str(f.den, var)})"
+    den = f"({var}-1)" if d == 1 else f"({var}-1)^{d}"
     return f"({num})/{den}"
-

@@ -6,7 +6,8 @@ partitions are generated as explicit block structures, cycle counts come
 from itertools.permutations, large Stirling numbers from the explicit
 alternating sum and the rising-factorial product, binomials from
 Pascal's triangle, Bernoulli numbers from the Akiyama-Tanigawa scheme,
-polynomial gcds from Euclid's algorithm over Q, polynomial arithmetic
+polynomial gcds and quotients in lowest terms from Euclid's algorithm
+over Q, polynomial arithmetic
 from schoolbook formulas on plain lists of Fraction coefficients, and the
 point evaluators of the library (the split form of F_n, the two-variable
 convolution, the moment integral of y^k F_n, the p-Bernoulli numbers and
@@ -218,6 +219,31 @@ def poly_gcd_euclid(a, b) -> tuple[Fraction, ...]:
     if not a:
         return ()
     return tuple(c / a[-1] for c in a)
+
+
+def _exact_quotient(a, b) -> list[Fraction]:
+    """a / b by long division over Q, for a trimmed b that divides a."""
+    rem = list(_trimmed(a))
+    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while rem:
+        factor = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+        rem = list(_trimmed(rem))
+    return quo
+
+
+def ratfunc_canonical_ref(num, den) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Lowest terms of num/den with a monic denominator: both divided by
+    their Euclid gcd, then by the leading coefficient of what is left of
+    den.  Zero is ((), (1,))."""
+    if not _trimmed(num):
+        return (), (Fraction(1),)
+    g = poly_gcd_euclid(num, den)
+    n, d = _exact_quotient(num, g), _exact_quotient(den, g)
+    return tuple(c / d[-1] for c in n), tuple(c / d[-1] for c in d)
 
 
 # Polynomial arithmetic on plain coefficient lists, lowest power first, one

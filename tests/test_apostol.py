@@ -1,5 +1,6 @@
 """Apostol-Bernoulli rational functions and the improper integrals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,13 @@ class TestConstruction:
     @pytest.mark.parametrize("n", [*range(2, 31), 40, 60])
     def test_alternating_route_agrees(self, n):
         assert apostol_alternating_form(n - 1) == apostol_bernoulli(n)
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_three_routes_agree_at_large_indices(self, n):
+        direct = apostol_bernoulli(n)
+        assert apostol_via_fubini(n) == direct
+        assert apostol_alternating_form(n - 1) == direct
+        assert direct.den == Poly([-1, 1]) ** n
 
     def test_alternating_route_rejects_lowest_index(self):
         with pytest.raises(ValueError):
@@ -230,10 +238,28 @@ class TestQuadratureOracle:
             improper_quadrature_oracle(RatFunc(Poly([1]), Poly([-1, 1])))
 
     def test_rejects_pole_on_domain(self):
+        # A pole anywhere but lambda = 1 cannot reach the oracle: no
+        # RatFunc holds one, so building the integrand raises.
         with pytest.raises(ValueError):
             improper_quadrature_oracle(RatFunc(Poly([1]), Poly([1, 1]) ** 2))
         with pytest.raises(ValueError):
             improper_quadrature_oracle(RatFunc(Poly([1]), Poly([0, 0, 1])))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, Fraction(0), -math.inf])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        f = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            improper_quadrature_oracle(f, tol)
+        with pytest.raises(ValueError, match="positive and finite"):
+            improper_quadrature_oracle(RatFunc.zero(), tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
+        # An estimate is never greater than nan, so a nan tol would
+        # return an unchecked value.
+        f = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            improper_quadrature_oracle(f, tol)
 
     def test_zero_function(self):
         assert improper_quadrature_oracle(RatFunc.zero()) == 0.0

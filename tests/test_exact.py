@@ -13,13 +13,11 @@ from fubini.exact import (
     BiPoly,
     Poly,
     RatFunc,
-    count_real_roots_nonpositive,
     format_rational,
     homogeneous_compose,
     parse_rational,
-    poly_divmod,
-    poly_gcd,
     poly_str,
+    ratfunc_str,
 )
 from oracles import (
     bipoly_eval_ref,
@@ -37,6 +35,7 @@ from oracles import (
     poly_integrate_ref,
     poly_mul_ref,
     poly_pow_ref,
+    ratfunc_canonical_ref,
 )
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
@@ -60,6 +59,28 @@ def small_polys(max_degree=6):
 
 def nonzero_polys(max_degree=6):
     return small_polys(max_degree).filter(bool)
+
+
+X_MINUS_1 = Poly([-1, 1])
+nonzero_rationals = small_rationals.filter(bool)
+
+
+def powers_of_x_minus_1(max_order=8):
+    return st.integers(min_value=0, max_value=max_order).map(lambda j: X_MINUS_1**j)
+
+
+def pole_at_one_denominators(max_order=8):
+    """c * (x-1)^k: every denominator a RatFunc accepts."""
+    return st.builds(lambda c, p: c * p, nonzero_rationals, powers_of_x_minus_1(max_order))
+
+
+def roots_at_one(max_degree=4, max_order=8):
+    """p * (x-1)^j: numerators with a root of any order up to max_order at 1."""
+    return st.builds(lambda p, q: p * q, small_polys(max_degree), powers_of_x_minus_1(max_order))
+
+
+def ratfuncs(max_order=4):
+    return st.builds(RatFunc, roots_at_one(3, max_order), pole_at_one_denominators(max_order))
 
 
 class TestRationalText:
@@ -135,46 +156,6 @@ class TestPoly:
     @given(small_polys(), small_rationals, small_rationals, small_rationals)
     def test_integral_additive_over_intervals(self, p, a, b, c):
         assert p.integrate(a, b) + p.integrate(b, c) == p.integrate(a, c)
-
-    @given(small_polys(4), small_polys(4))
-    def test_divmod_invariant(self, a, b):
-        if b.is_zero():
-            return
-        q, r = poly_divmod(a, b)
-        assert q * b + r == a
-        assert r.degree < b.degree
-
-    @given(small_polys(4), small_polys(4))
-    def test_gcd_divides_both(self, a, b):
-        g = poly_gcd(a, b)
-        if g.is_zero():
-            assert a.is_zero() and b.is_zero()
-            return
-        assert g.leading_coefficient() == 1
-        for p in (a, b):
-            _, r = poly_divmod(p, g)
-            assert r.is_zero()
-
-    @given(small_polys(4), small_polys(4), nonzero_polys(3))
-    def test_gcd_matches_euclid_over_q(self, a, b, h):
-        for x, y in ((a, b), (a * h, b * h), (-a, b * h)):
-            assert poly_gcd(x, y).coeffs == poly_gcd_euclid(x.coeffs, y.coeffs)
-
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            (Poly(), Poly()),
-            (Poly(), Poly([Fraction(1, 3), 0, -2])),
-            (Poly([Fraction(-5, 2)]), Poly()),
-            (Poly([7]), Poly([1, 1])),
-            (Poly([1, 0, -1]), Poly([3, -3])),
-            (Poly([-2, 2]) ** 3, Poly([1, -1]) ** 2 * Poly([Fraction(1, 2), 5])),
-            (Poly([0, Fraction(-4, 9), Fraction(2, 3)]), Poly([0, 0, -6])),
-        ],
-    )
-    def test_gcd_edge_cases_match_euclid(self, a, b):
-        assert poly_gcd(a, b).coeffs == poly_gcd_euclid(a.coeffs, b.coeffs)
-        assert poly_gcd(b, a) == poly_gcd(a, b)
 
     def test_str_rendering(self):
         assert poly_str(Poly([0, 1, 2]), "y") == "2y^2 + y"
@@ -380,7 +361,7 @@ class TestIntegerStorage:
         assert (p + q) - q == p and hash((p + q) - q) == hash(p)
         assert hash(p * q) == hash(q * p)
 
-    @given(mixed_lists(), nonzero_polys(3), mixed_grids())
+    @given(mixed_lists(), pole_at_one_denominators(3), mixed_grids())
     def test_values_survive_pickle_and_copy(self, a, den, grid):
         originals = (Poly(a), RatFunc(Poly(a), den), BiPoly(grid))
         for value in originals:
@@ -417,52 +398,127 @@ class TestIntegerStorage:
 
 class TestRatFunc:
     def test_normalize_common_factor(self):
-        # (2l - 2) / (l^2 - 1) reduces to 2 / (l + 1)
-        f = RatFunc(Poly([-2, 2]), Poly([-1, 0, 1]))
+        # (2l - 2) / (l - 1)^2 reduces to 2 / (l - 1)
+        f = RatFunc(Poly([-2, 2]), X_MINUS_1**2)
         assert f.num == Poly([2])
-        assert f.den == Poly([1, 1])
+        assert f.den == X_MINUS_1
+        # (l^2 - 1) / (l - 1)^2 reduces to (l + 1) / (l - 1)
+        f = RatFunc(Poly([-1, 0, 1]), X_MINUS_1**2)
+        assert (f.num, f.den) == (Poly([1, 1]), X_MINUS_1)
+
+    def test_numerator_of_higher_order_gives_a_polynomial(self):
+        f = RatFunc(Poly([1, 1]) * X_MINUS_1**5, 3 * X_MINUS_1**2)
+        assert f.is_polynomial()
+        assert (f.num, f.den) == (Poly([1, 1]) * X_MINUS_1**3 * Fraction(1, 3), Poly([1]))
 
     def test_already_canonical_unchanged(self):
-        f = RatFunc(Poly([1]), Poly([-1, 1]))
+        f = RatFunc(Poly([1]), X_MINUS_1)
         assert f.num == Poly([1])
-        assert f.den == Poly([-1, 1])
+        assert f.den == X_MINUS_1
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc(Poly([1]), Poly())
 
     def test_monic_denominator(self):
-        f = RatFunc(Poly([3]), Poly([0, 2]))
-        assert f.den.leading_coefficient() == 1
+        f = RatFunc(Poly([3]), Poly([-2, 2]))
+        assert f.den == X_MINUS_1
         assert f.num == Poly([Fraction(3, 2)])
+        g = RatFunc(Poly([3]), Poly([1, -1]) ** 3)  # (1 - l)^3 = -(l - 1)^3
+        assert (g.num, g.den) == (Poly([-3]), X_MINUS_1**3)
 
-    @given(small_polys(3), small_polys(3))
-    def test_normalize_idempotent(self, num, den):
-        if den.is_zero():
+    @pytest.mark.parametrize(
+        "den",
+        [
+            Poly([1, 1]) ** 2,  # (1 + l)^2
+            Poly([0, 0, 1]),  # l^2
+            Poly([1, 0, 1]),  # l^2 + 1
+            Poly([-1, 0, 1]),  # (l - 1)(l + 1)
+            X_MINUS_1**3 * Poly([0, 2]),
+            Poly([Fraction(-1, 2), 1]),  # root at 1/2
+        ],
+    )
+    def test_denominator_with_another_root_is_rejected(self, den):
+        for num in (Poly([1]), Poly(), den):
+            with pytest.raises(ValueError):
+                RatFunc(num, den)
+
+    @given(roots_at_one(), pole_at_one_denominators(), nonzero_polys(3))
+    def test_any_other_factor_in_the_denominator_is_rejected(self, num, den, other):
+        if other(1) == 0 or other.degree == 0:
             return
+        with pytest.raises(ValueError):
+            RatFunc(num, den * other)
+
+    @given(roots_at_one(), pole_at_one_denominators())
+    def test_canonical_form_matches_euclid_over_q(self, num, den):
+        f = RatFunc(num, den)
+        assert_canonical_poly(f.num)
+        assert_canonical_poly(f.den)
+        assert (f.num.coeffs, f.den.coeffs) == ratfunc_canonical_ref(num.coeffs, den.coeffs)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Poly(), X_MINUS_1**3),
+            (Poly([Fraction(-5, 2)]), Poly([Fraction(1, 3)])),
+            (Poly([7]), Poly([1, -1])),
+            (Poly([1, 0, -1]), Poly([3, -3])),
+            (Poly([-2, 2]) ** 3, Poly([1, -1]) ** 2 * Fraction(1, 2)),
+            (Poly([0, Fraction(-4, 9), Fraction(2, 3)]) * X_MINUS_1**8, -6 * X_MINUS_1**8),
+            (X_MINUS_1**8, X_MINUS_1**5),
+        ],
+    )
+    def test_edge_cases_match_euclid(self, a, b):
+        f = RatFunc(a, b)
+        assert (f.num.coeffs, f.den.coeffs) == ratfunc_canonical_ref(a.coeffs, b.coeffs)
+
+    @given(roots_at_one(), pole_at_one_denominators())
+    def test_canonical_form_is_monic_and_coprime(self, num, den):
+        f = RatFunc(num, den)
+        assert f.den == X_MINUS_1**f.den.degree
+        assert poly_gcd_euclid(f.num.coeffs, f.den.coeffs) == (1,)
+        assert f.is_polynomial() or f.num(1) != 0
+
+    @given(roots_at_one(), pole_at_one_denominators())
+    def test_normalize_idempotent(self, num, den):
         f = RatFunc(num, den)
         again = RatFunc(f.num, f.den)
         assert again == f
 
-    @given(small_polys(3), nonzero_polys(3), nonzero_polys(2))
-    def test_common_factor_cancels(self, a, b, h):
-        assert RatFunc(a * h, b * h) == RatFunc(a, b)
-
-    @given(small_polys(4), nonzero_polys(4))
-    def test_canonical_form_is_monic_and_coprime(self, num, den):
-        f = RatFunc(num, den)
-        assert f.den.leading_coefficient() == 1
-        assert poly_gcd(f.num, f.den) == 1
+    @given(roots_at_one(3), pole_at_one_denominators(), nonzero_rationals, powers_of_x_minus_1())
+    def test_common_factor_cancels(self, a, b, c, h):
+        assert RatFunc(a * h * c, b * h * c) == RatFunc(a, b)
 
     def test_arithmetic_and_eval(self):
-        f = RatFunc(Poly([1]), Poly([-1, 1]))
+        f = RatFunc(Poly([1]), X_MINUS_1)
         g = f + f
         assert g(3) == 1
+        assert (f * f - f)(3) == Fraction(-1, 4)
+        assert f * X_MINUS_1 == 1
+        assert (1 - f)(Fraction(1, 2)) == 3
         with pytest.raises(ZeroDivisionError):
             f(1)
 
+    @given(ratfuncs(), ratfuncs(), small_rationals, small_rationals)
+    def test_arithmetic_is_pointwise(self, f, g, c, x):
+        if x == 1:
+            return
+        fx, gx = f(x), g(x)
+        for value, expected in (
+            (f + g, fx + gx),
+            (f - g, fx - gx),
+            (f * g, fx * gx),
+            (-f, -fx),
+            (f**2, fx**2),
+            (f + c, fx + c),
+            (c * f, c * fx),
+        ):
+            assert value(x) == expected
+            assert value.den == X_MINUS_1**value.den.degree
+
     def test_pow(self):
-        f = RatFunc(Poly([1]), Poly([-1, 1]))
+        f = RatFunc(Poly([1]), X_MINUS_1)
         assert (f**2).den == Poly([1, -2, 1])
 
     def test_compose_poly_rational(self):
@@ -472,32 +528,11 @@ class TestRatFunc:
         assert RatFunc(composed, Poly([1, -1]) ** 2) == RatFunc(Poly([0, 1]), Poly([1, -2, 1]))
 
     def test_equality_is_structural_on_canonical_form(self):
-        a = RatFunc(Poly([0, 2]), Poly([0, 0, 2]))
-        b = RatFunc(Poly([1]), Poly([0, 1]))
-        assert a == b
+        a = RatFunc(Poly([-2, 2]), 2 * X_MINUS_1**2)
+        b = RatFunc(Poly([1]), X_MINUS_1)
+        assert a == b and hash(a) == hash(b)
 
-
-class TestSturm:
-    def test_no_roots(self):
-        assert count_real_roots_nonpositive(Poly([1, 0, 1])) == 0  # x^2 + 1
-
-    def test_root_at_zero_counts(self):
-        assert count_real_roots_nonpositive(Poly([0, 1])) == 1
-
-    def test_negative_roots(self):
-        # (x+1)(x+2) has two roots in (-inf, 0]
-        assert count_real_roots_nonpositive(Poly([2, 3, 1])) == 2
-
-    def test_positive_roots_ignored(self):
-        assert count_real_roots_nonpositive(Poly([-1, 1])) == 0  # root at +1
-
-    def test_multiple_roots_counted_once(self):
-        assert count_real_roots_nonpositive(Poly([1, 2, 1])) == 1  # (x+1)^2
-
-    @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4))
-    def test_counts_match_known_roots(self, roots):
-        poly = Poly([1])
-        for r in roots:
-            poly = poly * Poly([-r, 1])
-        expected = len({r for r in roots if r <= 0})
-        assert count_real_roots_nonpositive(poly) == expected
+    def test_str_writes_the_denominator_as_a_power_of_var_minus_1(self):
+        assert ratfunc_str(RatFunc(Poly([0, -2]), X_MINUS_1**2), "λ") == "(-2λ)/(λ-1)^2"
+        assert ratfunc_str(RatFunc(Poly([1]), X_MINUS_1), "λ") == "(1)/(λ-1)"
+        assert ratfunc_str(RatFunc(Poly([1, 1]) * X_MINUS_1), "λ") == "λ^2 - 1"

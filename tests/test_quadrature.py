@@ -12,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fubini import quadrature, registry
-from fubini.apostol import improper_quadrature_oracle
-from fubini.exact import Poly, RatFunc
+from fubini.apostol import apostol_bernoulli, improper_quadrature_oracle, lambda_moment_weight
+from fubini.exact import Poly
 from fubini.quadrature import LIMIT, adaptive_integrate
 
 integrate = pytest.importorskip("scipy.integrate")
@@ -136,13 +136,12 @@ def test_peaked_integrand_is_bisected_to_within_tol():
 
 
 def test_integrand_that_exhausts_the_limit_raises(oracle_calls):
-    # Eight Lorentzian peaks of width 1e-5 at lambda = -1..-8: resolving
-    # each one takes more bisections than the 200 subintervals allow, so
-    # every subinterval is used and the estimate stays above tol.
-    eps = Fraction(1, 10**5)
-    f = RatFunc.zero()
-    for k in range(1, 9):
-        f = f + RatFunc(Poly.constant(eps), Poly([k * k + eps * eps, 2 * k, 1]))
+    # The index-21 function times the weight 1/(lambda-1).  On [0, 1] the
+    # transformed integrand swings between about -8e9 and 7e9 while the
+    # integral is about -1.1e4.  The rule's round-off floor, some 50 eps
+    # times the integral of |f| (about 2e9), holds the estimate near 2e-5,
+    # so bisection uses every subinterval without reaching tol.
+    f = apostol_bernoulli(21) * lambda_moment_weight(0)
     with pytest.raises(ArithmeticError, match="exceeds"):
         improper_quadrature_oracle(f, TOL)
     (_, _, _, result), = oracle_calls
