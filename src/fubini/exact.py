@@ -693,7 +693,7 @@ class RatFunc:
         if len(rest) != 1:
             raise ValueError(f"denominator {poly_str(den, 'x')} is not c*(x-1)^k")
         if num.is_zero():
-            num, k = Poly(), 0
+            k = 0
         else:
             # num/den = (u/du) * (x-1)^m / ((c/dd) * (x-1)^k) with u an
             # integer list and m <= k; what is left over (x-1)^(k-m) is
