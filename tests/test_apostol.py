@@ -56,7 +56,7 @@ class TestConstruction:
     def test_alternating_route_agrees(self, n):
         assert apostol_alternating_form(n - 1) == apostol_bernoulli(n)
 
-    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("n", [100, 200, 400])
     def test_three_routes_agree_at_large_indices(self, n):
         direct = apostol_bernoulli(n)
         assert apostol_via_fubini(n) == direct

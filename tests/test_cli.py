@@ -120,6 +120,11 @@ OUTPUT_SHA256 = {
         "67bcf614fdc140ed481bc01b4ea5ad43eb81e94cb97651420265acc26b2f654e",
         "aca59c0390270058a500562b8f9fc1de29d95031b07dc2df794066a5f01bfa7b",
     ),
+    "compute apostol --n 200": (
+        "38dba0e4e2fc7187f0ed898add85faa471239f597621b013103ebd28346ed338",
+        "8c445b8ecc1563b62df5ecce4c8fede4342547d0366463dfb408ccdcf170465c",
+        "15ed2a89a7fda4bc7227b03ae81d059d10fb7f66b2b2e361597e8e026d34d7b7",
+    ),
     "verify eq24_corrected_split": (
         "6fe437a1331cdcb792c07789b9d9766ba5ef28f1f95c9a37b225f785bc9bf81c",
         "6c5461e9f09229a7b7ffd0c39d1b0d395c36fc9ce0c3d9721fb99861b08614a0",
@@ -444,6 +449,118 @@ class TestVerifyCommands:
     def test_list_identities_csv(self):
         code, out, _ = run_cli("list-identities", "--format", "csv")
         assert out.splitlines()[0] == "identity,corrected,statement"
+
+
+def _main(argv: list[str], capsys):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` run in process."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# Every subcommand and the options it takes, as `--help` must name them.
+SUBCOMMAND_OPTIONS = {
+    "compute": ["--n", "--k", "--p", "--at", "--format"],
+    "table": ["--n-max", "--p-max", "--format"],
+    "verify": ["--profile", "--n-max", "--m-max", "--k-max", "--p-max", "--samples", "--format"],
+    "verify-all": ["--profile", "--format"],
+    "list-identities": ["--format"],
+    "catalog": [],
+}
+
+
+class TestParsing:
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (
+                ["compute", "fubini-poly", "--n", "4", "--format", "json"],
+                ["compute", "fubini-poly", "--n=4", "--format=json"],
+            ),
+            (
+                ["compute", "p-bernoulli", "--n", "3", "--p", "2", "--format", "csv"],
+                ["compute", "p-bernoulli", "--p=2", "--n=3", "--format=csv"],
+            ),
+            (
+                ["table", "p-bernoulli", "--n-max", "2", "--p-max", "1"],
+                ["table", "p-bernoulli", "--n-max=2", "--p-max=1"],
+            ),
+            (
+                ["verify", "eq33_lemma2", "--m-max", "3", "--profile", "quick", "--format", "csv"],
+                ["verify", "eq33_lemma2", "--m-max=3", "--profile=quick", "--format=csv"],
+            ),
+        ],
+    )
+    def test_equals_form_gives_the_same_result(self, spaced, joined, capsys):
+        code, out, err = _main(spaced, capsys)
+        assert (code, err) == (0, "")
+        if spaced[0] == "verify":
+            out = _without_elapsed(out, "csv")
+        expected = out
+        code, out, err = _main(joined, capsys)
+        assert (code, err) == (0, "")
+        if joined[0] == "verify":
+            out = _without_elapsed(out, "csv")
+        assert out == expected
+
+    @pytest.mark.parametrize("at", [["--at", "-3/7"], ["--at=-3/7"]])
+    def test_negative_rational_value(self, at, capsys):
+        assert _main(["compute", "fubini-poly", "--n", "2", *at], capsys) == (0, "-3/49\n", "")
+
+    def test_negative_integer_value_reaches_the_command(self, capsys):
+        code, out, err = _main(["table", "fubini", "--n-max", "-3"], capsys)
+        assert (code, out) == (2, "")
+        assert "the bounds select no case of fubini" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["compute", "bernoulli", "--n", "4", "--bogus", "1"],
+            ["compute", "bernoulli", "--n"],
+            ["compute", "bernoulli", "--n", "x"],
+            ["compute", "bernoulli", "--n", "4", "--format", "xml"],
+            ["compute", "fubini-poly", "--n", "2", "--at", "1.5"],
+            ["compute", "euler-number", "--n", "2"],
+            ["verify-all", "--profile", "bogus"],
+            ["compute"],
+            ["table"],
+            ["verify"],
+            ["verify-all"],
+            ["compute", "bernoulli", "fubini", "--n", "3"],
+            ["catalog", "extra"],
+        ],
+    )
+    def test_parse_error_prints_usage_and_exits_2(self, argv, capsys):
+        code, out, err = _main(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: fubini")
+        assert "error: " in err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help_names_every_subcommand(self, flag, capsys):
+        code, out, err = _main([flag], capsys)
+        assert (code, err) == (0, "")
+        for command in SUBCOMMAND_OPTIONS:
+            assert command in out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+    def test_subcommand_help_names_every_option(self, command, flag, capsys):
+        code, out, err = _main([command, flag], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: fubini {command}")
+        for option in SUBCOMMAND_OPTIONS[command]:
+            assert option in out
+        words = " ".join(out.split())
+        if command == "compute":
+            assert "evaluate at a rational point, e.g. -3/7" in words
+        if command == "verify":
+            assert "number of rational grid points to use (the fixed grid has 25)" in words
 
 
 def _without_elapsed(out: str, fmt: str) -> str:
