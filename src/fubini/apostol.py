@@ -44,7 +44,8 @@ def apostol_bernoulli(n: int) -> RatFunc:
 
     (n/(lambda-1)) * sum_{k=0}^{n-1} S2(n-1,k) k! (lambda/(1-lambda))^k,
     with the index-0 function identically zero.  Over (lambda-1)^n the
-    numerator is n * sum_k S2(n-1,k) k! (-lambda)^k (lambda-1)^(n-1-k).
+    numerator is n * sum_k S2(n-1,k) k! (-lambda)^k (lambda-1)^(n-1-k),
+    built by Horner's rule in (lambda-1).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -56,9 +57,8 @@ def apostol_bernoulli(n: int) -> RatFunc:
             row = stirling2_row(n - 1)
             total = Poly()
             for k in range(n):
-                if row[k]:
-                    term = _MINUS_LAMBDA**k * _LAMBDA_MINUS_1 ** (n - 1 - k)
-                    total = total + (row[k] * factorial(k)) * term
+                monomial = Poly.monomial(k, (-1) ** k * row[k] * factorial(k))
+                total = total * _LAMBDA_MINUS_1 + monomial
             _apostol_cache[n] = RatFunc(n * total, _LAMBDA_MINUS_1**n)
     return _apostol_cache[n]
 
@@ -81,17 +81,17 @@ def apostol_alternating_form(n: int) -> RatFunc:
 
     (n+1) * (-1)^n * lambda * sum_k S2(n,k) k! (1/(lambda-1))^(k+1),
 
-    whose sum is sum_k S2(n,k) k! (lambda-1)^(n-k) over (lambda-1)^(n+1).
-    The n = 0 instance of this sum yields lambda/(lambda-1) instead of
-    the true 1/(lambda-1), so it is rejected here; see the errata notes.
+    whose sum is sum_k S2(n,k) k! (lambda-1)^(n-k) over (lambda-1)^(n+1),
+    built by Horner's rule in (lambda-1).  The n = 0 instance of this sum
+    yields lambda/(lambda-1) instead of the true 1/(lambda-1), so it is
+    rejected here; see the errata notes.
     """
     if n < 1:
         raise ValueError("alternating form valid for n >= 1 only")
     row = stirling2_row(n)
     total = Poly()
     for k in range(n + 1):
-        if row[k]:
-            total = total + (row[k] * factorial(k)) * _LAMBDA_MINUS_1 ** (n - k)
+        total = total * _LAMBDA_MINUS_1 + row[k] * factorial(k)
     return RatFunc(((n + 1) * (-1) ** n) * _LAMBDA * total, _LAMBDA_MINUS_1 ** (n + 1))
 
 
