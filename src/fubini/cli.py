@@ -11,6 +11,14 @@ Subcommands:
 * ``list-identities`` prints the catalog.
 * ``catalog`` prints the catalog document, ``docs/identities.md``.
 
+One table, ``COMMANDS``, declares every subcommand: its handler, help
+line, positional argument and options.  ``parse_args`` reads the command
+line against it: options are matched by their exact ``--name`` (no
+abbreviations) and take ``--name value`` or ``--name=value``, the value
+always being the next token, so ``--at -3/7`` works.  ``-h``/``--help``
+prints help rendered from the same table.  The CLI does not use argparse,
+whose import (with gettext and locale) costs more than a small query.
+
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
 error (unknown object/identity, missing or invalid parameters), 141 the
 reader of stdout closed it early (128 + SIGPIPE, as for `| head`).  Output
@@ -20,14 +28,13 @@ field of verification reports.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn, Optional, Union
 
 from . import apostol as ap
 from . import bernoulli_numbers as bn
@@ -344,81 +351,200 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _rational(text: str) -> Fraction:
+def _integer(text: str) -> int:
     try:
-        return parse_rational(text)
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+class Option(NamedTuple):
+    """One ``--name`` option: ``parse`` reads its value's text, or is the
+    tuple of allowed values."""
+
+    parse: Union[Callable[[str], object], tuple[str, ...]]
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler and help line, its positional argument
+    as (name, allowed values or ``str`` for any value), and its options
+    by exact ``--name``."""
+
+    run: Callable[[SimpleNamespace], int]
+    help: str
+    positional: Optional[tuple[str, Union[type, tuple[str, ...]]]]
+    options: dict[str, Option]
+
+
+# The whole command line.  Parsing, usage lines and help all read this table.
+COMMANDS = {
+    "compute": Command(
+        cmd_compute, "compute one value", ("object", tuple(COMPUTE)),
+        {
+            "--n": Option(_integer),
+            "--k": Option(_integer),
+            "--p": Option(_integer),
+            "--at": Option(parse_rational, help="evaluate at a rational point, e.g. -3/7"),
+            "--format": Option(FORMATS, "plain"),
+        },
+    ),
+    "table": Command(
+        cmd_table, "stream a value table", ("family", ("bernoulli", "fubini", "p-bernoulli")),
+        {
+            "--n-max": Option(_integer),
+            "--p-max": Option(_integer),
+            "--format": Option(FORMATS, "csv"),
+        },
+    ),
+    "verify": Command(
+        cmd_verify, "verify one identity over its grid", ("identity_id", str),
+        {
+            "--profile": Option(rg.PROFILES, "full"),
+            "--n-max": Option(_integer),
+            "--m-max": Option(_integer),
+            "--k-max": Option(_integer),
+            "--p-max": Option(_integer),
+            "--samples": Option(
+                _integer, help="number of rational grid points to use (the fixed grid has 25)"
+            ),
+            "--format": Option(FORMATS, "plain"),
+        },
+    ),
+    "verify-all": Command(
+        cmd_verify_all, "verify the whole catalog", None,
+        {"--profile": Option(rg.PROFILES, required=True), "--format": Option(FORMATS, "plain")},
+    ),
+    "list-identities": Command(
+        cmd_list_identities, "print the identity catalog", None,
+        {"--format": Option(FORMATS, "plain")},
+    ),
+    "catalog": Command(
+        cmd_catalog, "print the catalog document; exit 1 if an erratum no longer holds", None, {}
+    ),
+}
+
+HELP_FLAGS = ("-h", "--help")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _value(label: str, parse, text: str):
+    if isinstance(parse, tuple):
+        if text not in parse:
+            listed = ", ".join(map(repr, parse))
+            raise UsageError(f"argument {label}: invalid choice: {text!r} (choose from {listed})")
+        return text
+    try:
+        return parse(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise UsageError(f"argument {label}: {exc}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fubini",
-        description="Exact Fubini/Bernoulli/Apostol-Bernoulli calculator and identity verifier.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv: list[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
+    """Parse a command line against ``COMMANDS``.
 
-    compute = sub.add_parser("compute", help="compute one value")
-    compute.add_argument("object", choices=list(COMPUTE))
-    compute.add_argument("--n", type=int)
-    compute.add_argument("--k", type=int)
-    compute.add_argument("--p", type=int)
-    compute.add_argument("--at", type=_rational, metavar="RAT",
-                         help="evaluate at a rational point, e.g. -3/7")
-    compute.add_argument("--format", choices=FORMATS, default="plain")
-    compute.set_defaults(func=cmd_compute)
-
-    table = sub.add_parser("table", help="stream a value table")
-    table.add_argument("family", choices=["bernoulli", "fubini", "p-bernoulli"])
-    table.add_argument("--n-max", type=int, dest="n_max")
-    table.add_argument("--p-max", type=int, dest="p_max")
-    table.add_argument("--format", choices=FORMATS, default="csv")
-    table.set_defaults(func=cmd_table)
-
-    verify = sub.add_parser("verify", help="verify one identity over its grid")
-    verify.add_argument("identity_id")
-    verify.add_argument("--profile", choices=rg.PROFILES, default="full")
-    verify.add_argument("--n-max", type=int, dest="n_max")
-    verify.add_argument("--m-max", type=int, dest="m_max")
-    verify.add_argument("--k-max", type=int, dest="k_max")
-    verify.add_argument("--p-max", type=int, dest="p_max")
-    verify.add_argument(
-        "--samples", type=int,
-        help="number of rational grid points to use (the fixed grid has 25)",
-    )
-    verify.add_argument("--format", choices=FORMATS, default="plain")
-    verify.set_defaults(func=cmd_verify)
-
-    verify_all = sub.add_parser("verify-all", help="verify the whole catalog")
-    verify_all.add_argument("--profile", choices=rg.PROFILES, required=True)
-    verify_all.add_argument("--format", choices=FORMATS, default="plain")
-    verify_all.set_defaults(func=cmd_verify_all)
-
-    list_ids = sub.add_parser("list-identities", help="print the identity catalog")
-    list_ids.add_argument("--format", choices=FORMATS, default="plain")
-    list_ids.set_defaults(func=cmd_list_identities)
-
-    catalog = sub.add_parser(
-        "catalog", help="print the catalog document; exit 1 if an erratum no longer holds"
-    )
-    catalog.set_defaults(func=cmd_catalog)
-
-    return parser
-
-
-def _merge_at_values(argv: list[str]) -> list[str]:
-    # argparse reads "--at -3/7" as a missing value followed by an unknown
-    # option; fold the pair into "--at=-3/7" so negative rationals work.
-    merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--at" and i + 1 < len(argv):
-            merged.append(f"--at={argv[i + 1]}")
-            i += 2
+    Returns the subcommand and its arguments: one attribute per option,
+    holding its default when not given, and one for the positional.  An
+    option reads ``--name value`` or ``--name=value``; the value is always
+    the next token, so it may start with ``-``.  On ``-h``/``--help`` the
+    arguments are None, and so is the subcommand for the top-level help.
+    Anything else raises ``UsageError``.
+    """
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    if argv[0] in HELP_FLAGS:
+        return None, None
+    name = _value("command", tuple(COMMANDS), argv[0])
+    command = COMMANDS[name]
+    values = {_dest(flag): option.default for flag, option in command.options.items()}
+    positional = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP_FLAGS:
+            return name, None
+        if token.startswith("-"):
+            flag, eq, text = token.partition("=")
+            if flag not in command.options:
+                raise UsageError(f"unrecognized arguments: {token}")
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+            values[_dest(flag)] = _value(flag, command.options[flag].parse, text)
+        elif command.positional is None or positional is not None:
+            raise UsageError(f"unrecognized arguments: {token}")
         else:
-            merged.append(argv[i])
-            i += 1
-    return merged
+            positional = _value(*command.positional, token)
+    missing = [command.positional[0]] if command.positional and positional is None else []
+    missing += [
+        flag
+        for flag, option in command.options.items()
+        if option.required and values[_dest(flag)] is None
+    ]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if command.positional:
+        values[command.positional[0]] = positional
+    return name, SimpleNamespace(**values)
+
+
+def _metavar(flag: str, option: Option) -> str:
+    if isinstance(option.parse, tuple):
+        return "{" + ",".join(option.parse) + "}"
+    return "RAT" if option.parse is parse_rational else _dest(flag).upper()
+
+
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return "usage: fubini <command> [options]"
+    command = COMMANDS[name]
+    words = [f"usage: fubini {name}"]
+    if command.positional:
+        words.append(f"<{command.positional[0]}>")
+    words += [
+        f"{flag} {_metavar(flag, option)}"
+        for flag, option in command.options.items()
+        if option.required
+    ]
+    return " ".join([*words, "[options]"])
+
+
+def _help(name: Optional[str]) -> str:
+    """The ``--help`` text of one subcommand, or of the whole CLI for None."""
+    lines = [_usage(name), ""]
+    if name is None:
+        width = max(map(len, COMMANDS)) + 2
+        lines += [
+            "Exact Fubini/Bernoulli/Apostol-Bernoulli calculator and identity verifier.",
+            "",
+            "commands:",
+            *(f"  {other:<{width}}{command.help}" for other, command in COMMANDS.items()),
+            "",
+            "`fubini <command> --help` lists the options of one command.",
+        ]
+        return "\n".join(lines)
+    command = COMMANDS[name]
+    lines += [command.help, ""]
+    if command.positional and isinstance(command.positional[1], tuple):
+        positional, choices = command.positional
+        lines += [f"<{positional}> is one of: {', '.join(choices)}", ""]
+    rows = [("-h, --help", "print this help and exit")]
+    for flag, option in command.options.items():
+        notes = [option.help] if option.help else []
+        if option.required:
+            notes.append("required")
+        elif option.default is not None:
+            notes.append(f"default: {option.default}")
+        rows.append((f"{flag} {_metavar(flag, option)}", "; ".join(notes)))
+    width = max(len(left) for left, _ in rows) + 2
+    lines.append("options:")
+    lines += [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+    return "\n".join(lines)
 
 
 @contextlib.contextmanager
@@ -436,24 +562,34 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _exit_usage(message: str) -> NoReturn:
+    sys.stderr.write(message + "\n")
+    raise SystemExit(2)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     with _unlimited_int_digits():
-        args = parser.parse_args(_merge_at_values(list(argv)))
         try:
-            code = args.func(args)
+            name, args = parse_args(argv)
+        except UsageError as exc:
+            name = argv[0] if argv and argv[0] in COMMANDS else None
+            prog = "fubini" if name is None else f"fubini {name}"
+            _exit_usage(f"{_usage(name)}\n{prog}: error: {exc}")
+        try:
+            if args is None:
+                print(_help(name))
+                code = 0
+            else:
+                code = COMMANDS[name].run(args)
             sys.stdout.flush()  # a closed pipe shows up here, not at exit
             return code
         except BrokenPipeError:
             # Silence the flush at interpreter exit, which would fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 141
-        except UsageError as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc}\n")
-        except (ValueError, ZeroDivisionError) as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        except (UsageError, ValueError, ZeroDivisionError) as exc:
+            _exit_usage(f"fubini: error: {exc}")
 
 
 if __name__ == "__main__":

@@ -533,6 +533,7 @@ class TestParsing:
             ["verify-all"],
             ["compute", "bernoulli", "fubini", "--n", "3"],
             ["catalog", "extra"],
+            ["compute", "bernoulli", "--n", "4", "--form", "json"],
         ],
     )
     def test_parse_error_prints_usage_and_exits_2(self, argv, capsys):
@@ -561,6 +562,23 @@ class TestParsing:
             assert "evaluate at a rational point, e.g. -3/7" in words
         if command == "verify":
             assert "number of rational grid points to use (the fixed grid has 25)" in words
+
+
+    def test_compute_imports_no_argument_parser(self):
+        # argparse, and the gettext and locale modules it loads, cost more
+        # than a small compute query.
+        probe = (
+            "import sys\n"
+            "from fubini import cli\n"
+            "code = cli.main(['compute', 'bernoulli', '--n', '4'])\n"
+            "print(code, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=REPO
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["-1/30", "0 []"]
 
 
 def _without_elapsed(out: str, fmt: str) -> str:
