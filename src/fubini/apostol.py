@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import factorial, isfinite
+from operator import sub
 from typing import Union
 
 from .bernoulli_numbers import (
@@ -28,10 +29,9 @@ from .bernoulli_numbers import (
     fubini_product_integral_exact,
 )
 from .combinat import binomial, stirling2_row
-from .exact import Poly, RatFunc, Scalar, _exact, homogeneous_compose
+from .exact import Poly, RatFunc, Scalar, _exact, _poly, homogeneous_compose
 from .polynomials import fubini_poly
 
-_LAMBDA = Poly.variable()
 _MINUS_LAMBDA = Poly([0, -1])
 _LAMBDA_MINUS_1 = Poly([-1, 1])
 
@@ -45,7 +45,7 @@ def apostol_bernoulli(n: int) -> RatFunc:
     (n/(lambda-1)) * sum_{k=0}^{n-1} S2(n-1,k) k! (lambda/(1-lambda))^k,
     with the index-0 function identically zero.  Over (lambda-1)^n the
     numerator is n * sum_k S2(n-1,k) k! (-lambda)^k (lambda-1)^(n-1-k),
-    built by Horner's rule in (lambda-1).
+    built by Horner's rule in (lambda-1) on its integer coefficients.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -54,12 +54,15 @@ def apostol_bernoulli(n: int) -> RatFunc:
         return value
     with _lock:
         if n not in _apostol_cache:
-            row = stirling2_row(n - 1)
-            total = Poly()
-            for k in range(n):
-                monomial = Poly.monomial(k, (-1) ** k * row[k] * factorial(k))
-                total = total * _LAMBDA_MINUS_1 + monomial
-            _apostol_cache[n] = RatFunc(n * total, _LAMBDA_MINUS_1**n)
+            total: list[int] = []
+            factorial_k = 1
+            for k, s in enumerate(stirling2_row(n - 1)):
+                # Before the step total has k coefficients; times (lambda-1)
+                # it has k+1, and the new term is the lambda^k one.
+                total = _times_lambda_minus_1(total)
+                total[k] += -s * factorial_k if k % 2 else s * factorial_k
+                factorial_k *= k + 1
+            _apostol_cache[n] = RatFunc(_poly([n * c for c in total]), _LAMBDA_MINUS_1**n)
     return _apostol_cache[n]
 
 
@@ -82,17 +85,28 @@ def apostol_alternating_form(n: int) -> RatFunc:
     (n+1) * (-1)^n * lambda * sum_k S2(n,k) k! (1/(lambda-1))^(k+1),
 
     whose sum is sum_k S2(n,k) k! (lambda-1)^(n-k) over (lambda-1)^(n+1),
-    built by Horner's rule in (lambda-1).  The n = 0 instance of this sum
+    built by Horner's rule in (lambda-1) on its integer coefficients.  The
+    n = 0 instance of this sum
     yields lambda/(lambda-1) instead of the true 1/(lambda-1), so it is
     rejected here; see the errata notes.
     """
     if n < 1:
         raise ValueError("alternating form valid for n >= 1 only")
-    row = stirling2_row(n)
-    total = Poly()
-    for k in range(n + 1):
-        total = total * _LAMBDA_MINUS_1 + row[k] * factorial(k)
-    return RatFunc(((n + 1) * (-1) ** n) * _LAMBDA * total, _LAMBDA_MINUS_1 ** (n + 1))
+    total: list[int] = []
+    factorial_k = 1
+    for k, s in enumerate(stirling2_row(n)):
+        total = _times_lambda_minus_1(total)
+        total[0] += s * factorial_k
+        factorial_k *= k + 1
+    # Times lambda: the coefficients move up one power.
+    scale = (n + 1) * (-1) ** n
+    return RatFunc(_poly([0] + [scale * c for c in total]), _LAMBDA_MINUS_1 ** (n + 1))
+
+
+def _times_lambda_minus_1(coeffs: list[int]) -> list[int]:
+    """The integer coefficients (lowest power first) of coeffs * (lambda-1),
+    by shift and subtract; [] stands for 0 and gives [0]."""
+    return list(map(sub, [0] + coeffs, coeffs + [0]))
 
 
 def apostol_split_eval(n: int, lam: Scalar) -> Fraction:

@@ -15,9 +15,13 @@ Two kernels do the arithmetic, each one integer sum over one common
 denominator that builds a single Fraction: ``_integral`` integrates
 y^k p(y) over [-1, 0] (B_n as the integral of F_n, the moments of F_n,
 the product integrals of F_m F_n), and ``_bernoulli_combination`` sums
-weighted Bernoulli numbers over the lcm of their denominators (the
-p-Bernoulli numbers and every Bernoulli-sum side).  Each identity passes
-its own weights.
+weighted Bernoulli numbers (the p-Bernoulli numbers and every
+Bernoulli-sum side).  Each identity passes its own weights.  A window of
+indices up to MEMO_ROWS is one integer dot product of the weights with a
+memoised view of B_0..B_h as integer numerators over one common
+denominator, derived from ``bernoulli``'s values and grown to the highest
+index a weighted sum has read; a window above or across MEMO_ROWS sums
+over the lcm of its own denominators.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ _recurrence_nums: list[int] = [1]
 # The last column built of the tangent-number triangle: column N holds N
 # entries and ends with T_N, so T_1 = 1 starts it.
 _tangent_column: list[int] = [1]
+# B_0..B_h (h <= MEMO_ROWS) as (numerators, their common denominator),
+# replaced as one tuple whenever a weighted sum reads past its end.
+_numerator_view: tuple[tuple[int, ...], int] = ((), 1)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -158,9 +165,33 @@ def bernoulli_binomial_sum(m: int, n: int) -> Fraction:
     return _bernoulli_combination([sign * binomial(m, j) for j in range(m + 1)], n)
 
 
+def _bernoulli_numerators(h: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with B_i = nums[i] / den for i = 0..h at least, h <= MEMO_ROWS.
+
+    Built outside ``_lock``, which ``bernoulli`` takes; threads that race
+    here build equal views, and whichever is published last is kept.
+    """
+    global _numerator_view
+    view = _numerator_view
+    if len(view[0]) <= h:
+        values = [bernoulli(i) for i in range(h + 1)]
+        den = lcm(*[v.denominator for v in values])
+        view = tuple([v.numerator * (den // v.denominator) for v in values]), den
+        _numerator_view = view
+    return view
+
+
 def _bernoulli_combination(weights: Sequence[int], start: int, divisor: int = 1) -> Fraction:
-    """sum_j weights[j] * B_{start+j} / divisor, one integer sum over the
-    least common denominator of the Bernoulli numbers involved."""
+    """sum_j weights[j] * B_{start+j} / divisor as one Fraction.
+
+    Up to MEMO_ROWS it is one dot product with the numerator view; a window
+    above or across it is one integer sum over the least common denominator
+    of the Bernoulli numbers involved.
+    """
+    hi = start + len(weights) - 1
+    if hi <= MEMO_ROWS:
+        nums, den = _bernoulli_numerators(hi)
+        return Fraction(sum(map(mul, weights, nums[start : hi + 1])), den * divisor)
     values = [bernoulli(start + j) for j in range(len(weights))]
     den = lcm(*[v.denominator for v in values])
     num = sum(w * v.numerator * (den // v.denominator) for w, v in zip(weights, values))
@@ -185,8 +216,9 @@ def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
     if k < 0:
         raise ValueError("requires k >= 0")
     exact = _integral(fubini_poly(n), k)
-    formula = Fraction((-1) ** k, factorial(k)) * stirling_bernoulli_sum(k, n)
-    return exact, formula
+    row = stirling1_row(k + 1)[1:]
+    weights = [-s for s in row] if k % 2 else row
+    return exact, _bernoulli_combination(weights, n, factorial(k))
 
 
 def fubini_product_integral_exact(m: int, n: int) -> Fraction:

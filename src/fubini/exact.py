@@ -680,6 +680,9 @@ class RatFunc:
     Construction accepts any denominator c*(x-1)^k and raises
     ``ValueError`` for one with another root.  It strips the root at 1
     from the integer numerators of both sides by synthetic division.
+    Evaluation at p/q uses this pole form: one Horner pass over the
+    numerator and one division by its denominator times q^deg (p-q)^k;
+    x = 1 raises ``ZeroDivisionError`` when k > 0.
     """
 
     __slots__ = ("num", "den")
@@ -774,10 +777,22 @@ class RatFunc:
         return NotImplemented
 
     def __call__(self, point: Scalar) -> Fraction:
-        d = self.den(point)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {format_rational(_exact(point))}")
-        return self.num(point) / d
+        """Exact value at ``point`` = p/q != 1 (at 1 only when k = 0).
+
+        With H = sum_i c_i p^i q^(d-i) from one Horner pass over the d+1
+        numerators c_i / den of ``num``, the value is
+        H q^k / (den q^d (p-q)^k): one division, no evaluation of (x-1)^k.
+        """
+        x = _exact(point)
+        nums = self.num.numerators
+        if not nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        k = self.den.degree
+        if k and p == q:
+            raise ZeroDivisionError(f"pole at {format_rational(x)}")
+        h, scale = _horner(nums, p, q)
+        return Fraction(h * q**k, self.num.denominator * scale * (p - q) ** k)
 
     def to_strings(self) -> dict[str, list[str]]:
         return {"num": self.num.to_strings(), "den": self.den.to_strings()}

@@ -128,11 +128,13 @@ def fubini_two_var_eval(n: int, x: Scalar, y: Scalar) -> Fraction:
     # term k is C(n,k) H_k b^k (ad)^(n-k); the sum runs as a Horner scheme
     # in ad.
     ad = a * d
-    total, b_k = 0, 1
+    total, b_k, choose = 0, 1, 1
     for k in range(n + 1):
         h_k = _horner(fubini_poly(k).numerators, c, d)[0]
-        total = total * ad + binomial(n, k) * h_k * b_k
+        total = total * ad + choose * h_k * b_k
         b_k *= b
+        # C(n, k+1) = C(n, k) (n-k) / (k+1), exact at every step.
+        choose = choose * (n - k) // (k + 1)
     return Fraction(total, (b * d) ** n)
 
 

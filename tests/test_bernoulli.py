@@ -159,6 +159,48 @@ class TestAboveTheMemo:
         assert len(bernoulli_numbers._tangent_column) == 100
 
 
+# Weighted sums whose windows end below, at and above MEMO_ROWS: the first
+# two are dot products with the numerator view, the last crosses it (every
+# window has at least 6 entries) and sums over its own denominators.
+WINDOW_ENDS = {"below": MEMO_ROWS - 20, "at": MEMO_ROWS, "crossing": MEMO_ROWS + 5}
+
+
+class TestNumeratorView:
+    @pytest.fixture
+    def empty_view(self, monkeypatch):
+        monkeypatch.setattr(bernoulli_numbers, "_numerator_view", ((), 1))
+
+    @pytest.mark.parametrize("where", sorted(WINDOW_ENDS))
+    @given(
+        weights=st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=6, max_size=16),
+        divisor=st.integers(min_value=1, max_value=10**12),
+    )
+    def test_weighted_sum_equals_the_fraction_sum(self, where, weights, divisor):
+        start = WINDOW_ENDS[where] - len(weights) + 1
+        expected = sum(
+            (w * bernoulli(start + j) for j, w in enumerate(weights)), Fraction(0)
+        ) / divisor
+        assert bernoulli_numbers._bernoulli_combination(weights, start, divisor) == expected
+
+    def test_view_grows_to_the_highest_index_read(self, empty_view):
+        small = bernoulli_numbers._bernoulli_numerators(3)
+        nums, den = small
+        assert [Fraction(c, den) for c in nums] == [bernoulli(i) for i in range(4)]
+        nums, den = bernoulli_numbers._bernoulli_numerators(MEMO_ROWS)
+        assert len(nums) == MEMO_ROWS + 1
+        assert [Fraction(c, den) for c in nums] == [bernoulli(i) for i in range(MEMO_ROWS + 1)]
+        # A shorter request reads the view as it is.
+        assert bernoulli_numbers._bernoulli_numerators(3) is bernoulli_numbers._numerator_view
+
+    def test_only_weighted_sums_build_the_view(self, empty_view):
+        bernoulli(40)
+        assert bernoulli_numbers._numerator_view == ((), 1)
+        p_bernoulli(20, 5)
+        assert len(bernoulli_numbers._numerator_view[0]) == 26
+        p_bernoulli(MEMO_ROWS, 5)  # above MEMO_ROWS: the view stays as it is
+        assert len(bernoulli_numbers._numerator_view[0]) == 26
+
+
 class TestIntegralKernel:
     @given(rational_polys, st.integers(min_value=0, max_value=10))
     @example(Poly(), 10)

@@ -2,12 +2,15 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from fubini import bernoulli_numbers, polynomials
 from fubini.apostol import apostol_bernoulli
-from fubini.bernoulli_numbers import bernoulli, bernoulli_recurrence
+from fubini.bernoulli_numbers import bernoulli, bernoulli_recurrence, p_bernoulli
 from fubini.combinat import MEMO_ROWS, stirling1_row, stirling2, stirling2_row
 from fubini.polynomials import fubini_poly, fubini_poly_recurrence, fubini_two_var
+
+from oracles import p_bernoulli_ref
 
 # Indices above the Stirling memo.  Their rows are rolled forward from a
 # shared cursor, so threads asking for different ones move it back and forth;
@@ -76,6 +79,35 @@ def test_concurrent_high_bernoulli_numbers_are_computed_once(monkeypatch):
         first = results[0][i]
         assert all(result[i] is first for result in results), n
         assert first == bernoulli_recurrence(n), n
+
+
+def test_concurrent_builds_of_the_numerator_view_see_single_threaded_values(monkeypatch):
+    # Each thread asks for a different top index, so the view is rebuilt
+    # and replaced while other threads read it; every B_n is cold too.
+    tops = [3, 17, MEMO_ROWS // 2, MEMO_ROWS]
+    expected = [bernoulli(i) for i in range(MEMO_ROWS + 1)]
+    monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+    monkeypatch.setattr(bernoulli_numbers, "_numerator_view", ((), 1))
+
+    def spots(h: int) -> list[tuple[int, int]]:
+        return [(n, p) for n in range(h - 2, -1, -7) for p in (0, 1, 2)]
+
+    def read(seed: int) -> tuple[list, list]:
+        h = tops[seed % len(tops)]
+        nums, den = bernoulli_numbers._bernoulli_numerators(h)
+        sums = [p_bernoulli(n, p) for n, p in spots(h)]
+        return [Fraction(c, den) for c in nums[: h + 1]], sums
+
+    singles = [(expected[: h + 1], [p_bernoulli_ref(n, p) for n, p in spots(h)]) for h in tops]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(read, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, result in enumerate(results):
+        assert result == singles[seed % len(tops)], seed
 
 
 def test_cached_values_are_shared_not_recomputed():

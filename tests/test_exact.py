@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fubini.apostol import apostol_bernoulli
 from fubini.exact import (
     BiPoly,
     Poly,
@@ -19,6 +20,7 @@ from fubini.exact import (
     poly_str,
     ratfunc_str,
 )
+from fubini.registry import SAMPLE_GRID
 from oracles import (
     bipoly_eval_ref,
     bipoly_outer_ref,
@@ -536,3 +538,47 @@ class TestRatFunc:
         assert ratfunc_str(RatFunc(Poly([0, -2]), X_MINUS_1**2), "λ") == "(-2λ)/(λ-1)^2"
         assert ratfunc_str(RatFunc(Poly([1]), X_MINUS_1), "λ") == "(1)/(λ-1)"
         assert ratfunc_str(RatFunc(Poly([1, 1]) * X_MINUS_1), "λ") == "λ^2 - 1"
+
+
+# RatFunc.__call__ evaluates num(p/q) q^k / (p-q)^k in one pass; these pin it
+# to num(x) / den(x) with (x-1)^k evaluated as a polynomial.
+EVAL_POINTS = [x for x in SAMPLE_GRID if x != 1]
+EVAL_CASES = {
+    **{f"apostol_{n}": apostol_bernoulli(n) for n in range(21)},
+    "pole_free": RatFunc(Poly([Fraction(1, 3), -2, 0, Fraction(5, 7)])),
+    "zero": RatFunc.zero(),
+}
+
+
+class TestRatFuncEvaluation:
+    @pytest.mark.parametrize("name", sorted(EVAL_CASES))
+    def test_value_on_the_sample_grid_is_num_over_den(self, name):
+        f = EVAL_CASES[name]
+        for x in EVAL_POINTS:
+            assert f(x) == f.num(x) / f.den(x), x
+
+    @given(st.sampled_from(sorted(EVAL_CASES)), rationals.filter(lambda x: x != 1))
+    def test_value_at_any_rational_is_num_over_den(self, name, x):
+        f = EVAL_CASES[name]
+        assert f(x) == f.num(x) / f.den(x)
+
+    @given(ratfuncs(), small_rationals.filter(lambda x: x != 1))
+    def test_any_canonical_form_is_num_over_den(self, f, x):
+        assert f(x) == f.num(x) / f.den(x)
+
+    @pytest.mark.parametrize("point", [1, Fraction(1), Fraction(3, 3)])
+    def test_pole_at_one(self, point):
+        for n in range(1, 21):
+            with pytest.raises(ZeroDivisionError, match=r"^pole at 1$"):
+                apostol_bernoulli(n)(point)
+
+    def test_no_pole_without_a_denominator(self):
+        assert EVAL_CASES["zero"](1) == 0
+        pole_free = EVAL_CASES["pole_free"]
+        assert pole_free(1) == pole_free.num(1) == Fraction(1, 3) - 2 + Fraction(5, 7)
+
+    @pytest.mark.parametrize("name", ["apostol_5", "pole_free", "zero"])
+    def test_float_point_is_rejected(self, name):
+        for point in (0.5, 1.0):
+            with pytest.raises(TypeError):
+                EVAL_CASES[name](point)
