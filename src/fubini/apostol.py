@@ -86,9 +86,8 @@ def apostol_alternating_form(n: int) -> RatFunc:
 
     whose sum is sum_k S2(n,k) k! (lambda-1)^(n-k) over (lambda-1)^(n+1),
     built by Horner's rule in (lambda-1) on its integer coefficients.  The
-    n = 0 instance of this sum
-    yields lambda/(lambda-1) instead of the true 1/(lambda-1), so it is
-    rejected here; see the errata notes.
+    n = 0 instance of this sum yields lambda/(lambda-1) instead of the true
+    1/(lambda-1), so it is rejected here; see the errata notes.
     """
     if n < 1:
         raise ValueError("alternating form valid for n >= 1 only")
@@ -104,8 +103,8 @@ def apostol_alternating_form(n: int) -> RatFunc:
 
 
 def _times_lambda_minus_1(coeffs: list[int]) -> list[int]:
-    """The integer coefficients (lowest power first) of coeffs * (lambda-1),
-    by shift and subtract; [] stands for 0 and gives [0]."""
+    """coeffs * (lambda-1) on integer coefficients, lowest power first:
+    the list shifted up one power minus itself.  [] stands for 0."""
     return list(map(sub, [0] + coeffs, coeffs + [0]))
 
 

@@ -777,11 +777,11 @@ class RatFunc:
         return NotImplemented
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Exact value at ``point`` = p/q != 1 (at 1 only when k = 0).
+        """Exact value at ``point`` = p/q.
 
-        With H = sum_i c_i p^i q^(d-i) from one Horner pass over the d+1
-        numerators c_i / den of ``num``, the value is
-        H q^k / (den q^d (p-q)^k): one division, no evaluation of (x-1)^k.
+        For num = (sum_i c_i x^i) / den of degree d, one Horner pass gives
+        H = sum_i c_i p^i q^(d-i), and the value is H q^k / (den q^d (p-q)^k).
+        p = q is the pole when k > 0 and raises ``ZeroDivisionError``.
         """
         x = _exact(point)
         nums = self.num.numerators

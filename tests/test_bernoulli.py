@@ -183,8 +183,7 @@ class TestNumeratorView:
         assert bernoulli_numbers._bernoulli_combination(weights, start, divisor) == expected
 
     def test_view_grows_to_the_highest_index_read(self, empty_view):
-        small = bernoulli_numbers._bernoulli_numerators(3)
-        nums, den = small
+        nums, den = bernoulli_numbers._bernoulli_numerators(3)
         assert [Fraction(c, den) for c in nums] == [bernoulli(i) for i in range(4)]
         nums, den = bernoulli_numbers._bernoulli_numerators(MEMO_ROWS)
         assert len(nums) == MEMO_ROWS + 1

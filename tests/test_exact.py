@@ -566,7 +566,7 @@ class TestRatFuncEvaluation:
     def test_any_canonical_form_is_num_over_den(self, f, x):
         assert f(x) == f.num(x) / f.den(x)
 
-    @pytest.mark.parametrize("point", [1, Fraction(1), Fraction(3, 3)])
+    @pytest.mark.parametrize("point", [1, Fraction(1)])
     def test_pole_at_one(self, point):
         for n in range(1, 21):
             with pytest.raises(ZeroDivisionError, match=r"^pole at 1$"):
