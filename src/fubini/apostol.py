@@ -2,9 +2,9 @@
 
 Each index n yields a rational function whose only pole sits at
 lambda = 1 with order at most n: the one shape a ``RatFunc`` holds.
-Every route writes it as one integer polynomial over (lambda-1)^n and
-canonicalises that quotient once, so no route adds or multiplies
-rational functions.  Three construction routes are kept: the direct
+Every route passes one integer numerator with its pole order n, so the
+quotient is canonicalised once and no route adds or multiplies rational
+functions.  Three construction routes are kept: the direct
 Stirling sum, substitution of lambda/(1-lambda) into the Fubini
 polynomial of index n-1, and an alternating power form (valid from
 index 2 up; its index-1 instance is a known erratum and is rejected
@@ -62,7 +62,7 @@ def apostol_bernoulli(n: int) -> RatFunc:
                 total = _times_lambda_minus_1(total)
                 total[k] += -s * factorial_k if k % 2 else s * factorial_k
                 factorial_k *= k + 1
-            _apostol_cache[n] = RatFunc(_poly([n * c for c in total]), _LAMBDA_MINUS_1**n)
+            _apostol_cache[n] = RatFunc(_poly([n * c for c in total]), order=n)
     return _apostol_cache[n]
 
 
@@ -76,7 +76,7 @@ def apostol_via_fubini(n: int) -> RatFunc:
     if n < 1:
         raise ValueError("requires n >= 1")
     composed = homogeneous_compose(fubini_poly(n - 1), _MINUS_LAMBDA, _LAMBDA_MINUS_1)
-    return RatFunc(n * composed, _LAMBDA_MINUS_1**n)
+    return RatFunc(n * composed, order=n)
 
 
 def apostol_alternating_form(n: int) -> RatFunc:
@@ -99,7 +99,7 @@ def apostol_alternating_form(n: int) -> RatFunc:
         factorial_k *= k + 1
     # Times lambda: the coefficients move up one power.
     scale = (n + 1) * (-1) ** n
-    return RatFunc(_poly([0] + [scale * c for c in total]), _LAMBDA_MINUS_1 ** (n + 1))
+    return RatFunc(_poly([0] + [scale * c for c in total]), order=n + 1)
 
 
 def _times_lambda_minus_1(coeffs: list[int]) -> list[int]:
@@ -157,7 +157,7 @@ def lambda_moment_weight(k: int) -> RatFunc:
     """The weight lambda^k / (lambda-1)^(k+1) used by the moment integral."""
     if k < 0:
         raise ValueError("requires k >= 0")
-    return RatFunc(Poly.monomial(k), _LAMBDA_MINUS_1 ** (k + 1))
+    return RatFunc(Poly.monomial(k), order=k + 1)
 
 
 def apostol_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:
@@ -202,11 +202,11 @@ def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) 
     Requires that f decays at least like 1/lambda^2; its only pole, at
     lambda = 1, lies off the domain because a ``RatFunc`` has no other.
     The domain is compactified by lambda = -t/(1-t) with t in [0, 1).
-    With f = N/(lambda-1)^k the transformed integrand is (-1)^k times the
-    homogenised substitution of N times a power of (1-t): one integer
-    polynomial in t, since (lambda-1)^k (1-t)^k = (-1)^k.  Each node is
-    evaluated exactly and rounded once, so the integrand is accurate to
-    half an ulp whatever its degree.
+    With f = N/(lambda-1)^k, k = ``f.order``, the transformed integrand is
+    (-1)^k times the homogenised substitution of N times a power of (1-t):
+    one integer polynomial in t, since (lambda-1)^k (1-t)^k = (-1)^k.
+    Each node is evaluated exactly and rounded once, so the integrand is
+    accurate to half an ulp whatever its degree.
 
     The rule is QUADPACK's 21-point Gauss-Kronrod rule (``dqk21``, in
     ``fubini.quadrature``), asked for absolute error tol/2 or relative
@@ -225,7 +225,7 @@ def improper_quadrature_oracle(f: RatFunc, tol: Union[float, Fraction] = 1e-10) 
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if f.is_zero():
         return 0.0
-    k = f.den.degree
+    k = f.order
     decay = k - f.num.degree
     if decay < 2:
         raise ValueError("integrand must decay at least like 1/lambda^2")

@@ -13,9 +13,9 @@ Every value in this package is built from these representations:
   ``x^i y^j`` (trailing all-zero rows and columns trimmed) over one
   positive integer ``denominator``,
 * ``RatFunc`` is a ``Poly`` numerator over a power (x-1)^k, the one
-  pole an Apostol-Bernoulli function has, in lowest terms: (x-1) does
-  not divide the numerator when k > 0.  A denominator with any other
-  root is rejected.
+  pole an Apostol-Bernoulli function has, stored as the numerator and
+  the pole order k, in lowest terms: (x-1) does not divide the
+  numerator when k > 0.
 
 ``Poly`` and ``BiPoly`` are canonical too: the gcd of the denominator and
 all numerators is 1, and the zero polynomial is stored as ``((), 1)``.
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
@@ -658,9 +659,9 @@ class BiPoly:
 def _divide_by_x_minus_1(nums: Sequence[int], limit: int) -> tuple[Sequence[int], int]:
     """(q, m) with nums = q * (x-1)^m, m as large as possible up to ``limit``.
 
-    ``nums`` is a nonzero integer list.  Synthetic division by (x-1) leaves
-    the remainder sum(nums) and the quotient whose entry i is
-    sum(nums[i+1:]), so (x-1) divides exactly while the sum is 0.
+    ``nums`` is an integer list, nonzero unless ``limit`` is 0.  Synthetic
+    division by (x-1) leaves the remainder sum(nums) and the quotient whose
+    entry i is sum(nums[i+1:]), so (x-1) divides exactly while the sum is 0.
     """
     m = 0
     while m < limit and sum(nums) == 0:
@@ -670,48 +671,46 @@ def _divide_by_x_minus_1(nums: Sequence[int], limit: int) -> tuple[Sequence[int]
 
 
 class RatFunc:
-    """Rational function num / (x-1)^k, whose only possible pole is x = 1.
+    """Rational function num / (x-1)^order, whose only possible pole is x = 1.
 
     Every rational function in this package has this shape: an
-    Apostol-Bernoulli function has its one pole at 1.  Canonical means:
-    the denominator is exactly (x-1)^k, (x-1) does not divide the
-    numerator when k > 0, and the zero function is 0/1.  Two RatFunc
-    values are equal exactly when their canonical fields are equal.
-    Construction accepts any denominator c*(x-1)^k and raises
-    ``ValueError`` for one with another root.  It strips the root at 1
-    from the integer numerators of both sides by synthetic division.
+    Apostol-Bernoulli function has its one pole at 1.  Construction takes
+    the numerator and the keyword-only pole ``order`` k and divides (x-1)
+    out of the numerator by synthetic division, at most k times.  Canonical
+    means: (x-1) does not divide the numerator when k > 0, and the zero
+    function has order 0.  Two RatFunc values are equal exactly when
+    ``(num, order)`` are equal; ``den`` builds (x-1)^k from its binomial
+    coefficients on each read.
     Evaluation at p/q uses this pole form: one Horner pass over the
     numerator and one division by its denominator times q^deg (p-q)^k;
     x = 1 raises ``ZeroDivisionError`` when k > 0.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "order")
 
-    def __init__(self, num: Poly, den: Poly = Poly([1])):
-        if not isinstance(num, Poly) or not isinstance(den, Poly):
-            raise TypeError("RatFunc takes Poly numerator and denominator")
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        rest, k = _divide_by_x_minus_1(den.numerators, den.degree)
-        if len(rest) != 1:
-            raise ValueError(f"denominator {poly_str(den, 'x')} is not c*(x-1)^k")
+    def __init__(self, num: Poly, *, order: int = 0):
+        if not isinstance(num, Poly):
+            raise TypeError("RatFunc takes a Poly numerator")
+        if type(order) is not int or order < 0:
+            raise ValueError(f"pole order must be a non-negative int, got {order!r}")
         if num.is_zero():
-            k = 0
-        else:
-            # num/den = (u/du) * (x-1)^m / ((c/dd) * (x-1)^k) with u an
-            # integer list and m <= k; what is left over (x-1)^(k-m) is
-            # u * dd / (du * c).
-            u, m = _divide_by_x_minus_1(num.numerators, k)
-            num = _poly([den.denominator * c for c in u], num.denominator * rest[0])
-            k -= m
+            order = 0
+        nums, m = _divide_by_x_minus_1(num.numerators, order)
+        if m:
+            num, order = _poly(nums, num.denominator), order - m
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", Poly([-1, 1]) ** k)
+        object.__setattr__(self, "order", order)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
     def __reduce__(self):
-        return RatFunc, (self.num, self.den)
+        return partial(RatFunc, order=self.order), (self.num,)
+
+    @property
+    def den(self) -> Poly:
+        k = self.order
+        return _raw_poly(tuple((-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)), 1)
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -721,26 +720,26 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return self.order == 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
+            return self.num == other.num and self.order == other.order
         if isinstance(other, (int, Fraction, Poly)):
             return self == RatFunc(Poly._as_poly(other))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self.num, self.den))
+        return hash(("RatFunc", self.num, self.order))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc(-self.num, order=self.order)
 
     def __add__(self, other) -> "RatFunc":
         other = self._as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return RatFunc(self.num * other.den + other.num * self.den, order=self.order + other.order)
 
     __radd__ = __add__
 
@@ -757,14 +756,14 @@ class RatFunc:
         other = self._as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc(self.num * other.num, order=self.order + other.order)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "RatFunc":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("rational function powers must be non-negative integers")
-        return RatFunc(self.num**exponent, self.den**exponent)
+        return RatFunc(self.num**exponent, order=self.order * exponent)
 
     @staticmethod
     def _as_ratfunc(value):
@@ -788,7 +787,7 @@ class RatFunc:
         if not nums:
             return Fraction(0)
         p, q = x.numerator, x.denominator
-        k = self.den.degree
+        k = self.order
         if k and p == q:
             raise ZeroDivisionError(f"pole at {format_rational(x)}")
         h, scale = _horner(nums, p, q)
@@ -798,7 +797,7 @@ class RatFunc:
         return {"num": self.num.to_strings(), "den": self.den.to_strings()}
 
     def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
+        return f"RatFunc({self.num!r}, order={self.order})"
 
     def __str__(self) -> str:
         return ratfunc_str(self, "x")
@@ -809,6 +808,6 @@ def ratfunc_str(f: RatFunc, var: str) -> str:
     num = poly_str(f.num, var)
     if f.is_polynomial():
         return num
-    d = f.den.degree
+    d = f.order
     den = f"({var}-1)" if d == 1 else f"({var}-1)^{d}"
     return f"({num})/{den}"

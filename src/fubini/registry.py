@@ -192,7 +192,7 @@ def serialize_value(value) -> str:
 
 
 def _case_sort_key(params: dict):
-    return tuple((k, Fraction(v)) for k, v in sorted(params.items()))
+    return sorted(params.items())
 
 
 def run_check(check: Check) -> str:
@@ -560,7 +560,7 @@ def _eval_ab_guoqi(p: dict) -> Check:
 def _printed_ab_guoqi(p: dict) -> Check:
     # The alternating power sum read literally at its lowest index
     # produces lam/(lam-1); the true index-1 function is 1/(lam-1).
-    printed = RatFunc(Poly([0, 1]), Poly([-1, 1]))
+    printed = RatFunc(Poly([0, 1]), order=1)
     return Check("ne", printed, ap.apostol_bernoulli(1))
 
 

@@ -31,18 +31,16 @@ LAMBDA_SAMPLES = [
 class TestConstruction:
     def test_first_functions(self):
         assert apostol_bernoulli(0) == RatFunc.zero()
-        assert apostol_bernoulli(1) == RatFunc(Poly([1]), Poly([-1, 1]))
-        assert apostol_bernoulli(2) == RatFunc(Poly([0, -2]), Poly([-1, 1]) ** 2)
+        assert apostol_bernoulli(1) == RatFunc(Poly([1]), order=1)
+        assert apostol_bernoulli(2) == RatFunc(Poly([0, -2]), order=2)
 
     def test_pole_discipline(self):
         # canonical denominator is exactly (lambda - 1)^n
         for n in [*range(21), 40, 60]:
             func = apostol_bernoulli(n)
-            d = func.den.degree
-            assert d <= n
-            assert func.den == Poly([-1, 1]) ** d
-            if n >= 1:
-                assert d == n
+            assert func.order == n
+            assert func.den == Poly([-1, 1]) ** func.order
+            assert func.is_polynomial() or func.num(1) != 0
 
     @pytest.mark.parametrize("n", [*range(1, 31), 40, 60])
     def test_fubini_route_agrees(self, n):
@@ -61,7 +59,7 @@ class TestConstruction:
         direct = apostol_bernoulli(n)
         assert apostol_via_fubini(n) == direct
         assert apostol_alternating_form(n - 1) == direct
-        assert direct.den == Poly([-1, 1]) ** n
+        assert direct.order == n
 
     def test_alternating_route_rejects_lowest_index(self):
         with pytest.raises(ValueError):
@@ -73,9 +71,9 @@ class TestConstruction:
         built = []
         init = RatFunc.__init__
 
-        def counting_init(self, *args):
+        def counting_init(self, *args, **kwargs):
             built.append(self)
-            init(self, *args)
+            init(self, *args, **kwargs)
 
         monkeypatch.setattr(RatFunc, "__init__", counting_init)
         for route, index in (
@@ -94,7 +92,7 @@ class TestConstruction:
     def test_alternating_lowest_index_is_an_erratum(self):
         # Read literally at n = 0 the sum yields lambda/(lambda-1),
         # not the true 1/(lambda-1).
-        literal = RatFunc(Poly([0, 1]), Poly([-1, 1]))
+        literal = RatFunc(Poly([0, 1]), order=1)
         assert literal != apostol_bernoulli(1)
 
 
@@ -218,7 +216,7 @@ class TestProductIntegral:
 
 class TestQuadratureOracle:
     def test_plain_antiderivative_case(self):
-        f = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
+        f = RatFunc(Poly([1]), order=2)
         assert abs(improper_quadrature_oracle(f, 1e-10) - 1.0) < 1e-9
 
     def test_matches_exact_product_integrals(self):
@@ -235,19 +233,11 @@ class TestQuadratureOracle:
 
     def test_rejects_slow_decay(self):
         with pytest.raises(ValueError):
-            improper_quadrature_oracle(RatFunc(Poly([1]), Poly([-1, 1])))
-
-    def test_rejects_pole_on_domain(self):
-        # A pole anywhere but lambda = 1 cannot reach the oracle: no
-        # RatFunc holds one, so building the integrand raises.
-        with pytest.raises(ValueError):
-            improper_quadrature_oracle(RatFunc(Poly([1]), Poly([1, 1]) ** 2))
-        with pytest.raises(ValueError):
-            improper_quadrature_oracle(RatFunc(Poly([1]), Poly([0, 0, 1])))
+            improper_quadrature_oracle(RatFunc(Poly([1]), order=1))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, Fraction(0), -math.inf])
     def test_rejects_a_tolerance_that_is_not_positive(self, tol):
-        f = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
+        f = RatFunc(Poly([1]), order=2)
         with pytest.raises(ValueError, match="positive and finite"):
             improper_quadrature_oracle(f, tol)
         with pytest.raises(ValueError, match="positive and finite"):
@@ -257,7 +247,7 @@ class TestQuadratureOracle:
     def test_rejects_a_tolerance_that_is_not_finite(self, tol):
         # An estimate is never greater than nan, so a nan tol would
         # return an unchecked value.
-        f = RatFunc(Poly([1]), Poly([-1, 1]) ** 2)
+        f = RatFunc(Poly([1]), order=2)
         with pytest.raises(ValueError, match="positive and finite"):
             improper_quadrature_oracle(f, tol)
 

@@ -13,7 +13,7 @@ from sympy.functions.combinatorial.numbers import stirling  # noqa: E402
 from fubini.apostol import apostol_bernoulli  # noqa: E402
 from fubini.bernoulli_numbers import bernoulli  # noqa: E402
 from fubini.combinat import stirling1_unsigned, stirling2  # noqa: E402
-from fubini.exact import Poly, RatFunc  # noqa: E402
+from fubini.exact import Poly  # noqa: E402
 
 STIRLING_N_MAX = 40
 BERNOULLI_N_MAX = 60
@@ -81,8 +81,9 @@ def test_apostol_functions_match_the_generating_function():
     series = sympy.series(T / (LAM * sympy.exp(T) - 1), T, 0, APOSTOL_N_MAX + 1).removeO()
     for n in range(APOSTOL_N_MAX + 1):
         num, den = sympy.fraction(sympy.cancel(sympy.factorial(n) * series.coeff(T, n)))
-        expected = RatFunc(
-            from_sympy(sympy.Poly(num, LAM, domain="QQ")),
-            from_sympy(sympy.Poly(den, LAM, domain="QQ")),
-        )
-        assert apostol_bernoulli(n) == expected, n
+        num = from_sympy(sympy.Poly(num, LAM, domain="QQ"))
+        den = from_sympy(sympy.Poly(den, LAM, domain="QQ"))
+        # Cross-multiplied, so the oracle does not go through RatFunc's
+        # constructor.
+        f = apostol_bernoulli(n)
+        assert f.num * den == num * f.den, n
