@@ -12,14 +12,16 @@ rather than patched).  The improper integrals over (-inf, 0] reduce
 exactly to the finite Fubini integrals over [-1, 0] via the substitution
 y = lambda/(1-lambda), so both of their routes are the Fubini integrals
 of ``bernoulli_numbers`` times a constant; a numerical quadrature oracle
-cross-checks them independently.
+cross-checks them independently.  Each route reads S2(n,k) k! as the
+coefficients of ``fubini_poly``.  ``apostol_bernoulli`` is memoised per
+index up to ``combinat.MEMO_ROWS``; a larger index is built on each call.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, isfinite
+from math import isfinite
 from operator import sub
 from typing import Union
 
@@ -28,7 +30,7 @@ from .bernoulli_numbers import (
     fubini_product_integral,
     fubini_product_integral_exact,
 )
-from .combinat import binomial, stirling2_row
+from .combinat import MEMO_ROWS, binomial
 from .exact import Poly, RatFunc, Scalar, _exact, _poly, homogeneous_compose
 from .polynomials import fubini_poly
 
@@ -45,25 +47,24 @@ def apostol_bernoulli(n: int) -> RatFunc:
     (n/(lambda-1)) * sum_{k=0}^{n-1} S2(n-1,k) k! (lambda/(1-lambda))^k,
     with the index-0 function identically zero.  Over (lambda-1)^n the
     numerator is n * sum_k S2(n-1,k) k! (-lambda)^k (lambda-1)^(n-1-k),
-    built by Horner's rule in (lambda-1) on its integer coefficients.
+    built by Horner's rule in (lambda-1) on the coefficients of F_{n-1}.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
     value = _apostol_cache.get(n)
     if value is not None:
         return value
+    total: list[int] = []
+    for k, a in enumerate(fubini_poly(n - 1).numerators):
+        # Before the step total has k coefficients; times (lambda-1) it
+        # has k+1, and the new term is the lambda^k one.
+        total = _times_lambda_minus_1(total)
+        total[k] += -a if k % 2 else a
+    value = RatFunc(_poly([n * c for c in total]), order=n)
+    if n > MEMO_ROWS:
+        return value
     with _lock:
-        if n not in _apostol_cache:
-            total: list[int] = []
-            factorial_k = 1
-            for k, s in enumerate(stirling2_row(n - 1)):
-                # Before the step total has k coefficients; times (lambda-1)
-                # it has k+1, and the new term is the lambda^k one.
-                total = _times_lambda_minus_1(total)
-                total[k] += -s * factorial_k if k % 2 else s * factorial_k
-                factorial_k *= k + 1
-            _apostol_cache[n] = RatFunc(_poly([n * c for c in total]), order=n)
-    return _apostol_cache[n]
+        return _apostol_cache.setdefault(n, value)
 
 
 def apostol_via_fubini(n: int) -> RatFunc:
@@ -85,18 +86,16 @@ def apostol_alternating_form(n: int) -> RatFunc:
     (n+1) * (-1)^n * lambda * sum_k S2(n,k) k! (1/(lambda-1))^(k+1),
 
     whose sum is sum_k S2(n,k) k! (lambda-1)^(n-k) over (lambda-1)^(n+1),
-    built by Horner's rule in (lambda-1) on its integer coefficients.  The
+    built by Horner's rule in (lambda-1) on the coefficients of F_n.  The
     n = 0 instance of this sum yields lambda/(lambda-1) instead of the true
     1/(lambda-1), so it is rejected here; see the errata notes.
     """
     if n < 1:
         raise ValueError("alternating form valid for n >= 1 only")
     total: list[int] = []
-    factorial_k = 1
-    for k, s in enumerate(stirling2_row(n)):
+    for a in fubini_poly(n).numerators:
         total = _times_lambda_minus_1(total)
-        total[0] += s * factorial_k
-        factorial_k *= k + 1
+        total[0] += a
     # Times lambda: the coefficients move up one power.
     scale = (n + 1) * (-1) ** n
     return RatFunc(_poly([0] + [scale * c for c in total]), order=n + 1)
@@ -118,13 +117,12 @@ def apostol_split_eval(n: int, lam: Scalar) -> Fraction:
     lv = Fraction(_exact(lam))
     if lv == 1 or lv == -1:
         raise ValueError("split form is singular at lambda = +/-1")
-    row = stirling2_row(n)
     total = Fraction(0)
-    for k in range(n + 1):
-        if row[k] == 0:
+    for k, a in enumerate(fubini_poly(n).numerators):
+        if a == 0:
             continue
         bracket = 2 ** (n + 1) * lv**k + (lv - 1) ** (k + 1)
-        total += row[k] * factorial(k) * (-lv) ** k * bracket / (lv**2 - 1) ** (k + 1)
+        total += a * (-lv) ** k * bracket / (lv**2 - 1) ** (k + 1)
     return total
 
 

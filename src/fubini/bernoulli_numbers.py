@@ -68,6 +68,8 @@ def bernoulli(n: int) -> Fraction:
     with _lock:
         if n not in _bernoulli_cache:
             if n <= MEMO_ROWS:
+                # Its own Stirling sum: read from F_n, it would be
+                # _integral(fubini_poly(n)), the other side of eq26.
                 den = lcm(*range(1, n + 2))
                 num, factorial_k = 0, 1
                 for k, s in enumerate(stirling2_row(n)):
@@ -249,19 +251,15 @@ def double_sum_identity(n: int, m: int) -> tuple[Fraction, Fraction]:
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    row_n = stirling2_row(n)
-    row_m = stirling2_row(m)
+    coeffs_m = fubini_poly(m).numerators
     lhs = Fraction(0)
-    for k in range(n + 1):
-        if row_n[k] == 0:
+    for k, a in enumerate(fubini_poly(n).numerators):
+        if a == 0:
             continue
-        for j in range(m + 1):
-            if row_m[j] == 0:
+        for j, b in enumerate(coeffs_m):
+            if b == 0:
                 continue
-            lhs += Fraction(
-                row_n[k] * row_m[j] * (-1) ** (k + j) * factorial(k) * factorial(j),
-                k + j + 1,
-            )
+            lhs += Fraction(a * b * (-1) ** (k + j), k + j + 1)
     return lhs, bernoulli_binomial_sum(m, n)
 
 
@@ -304,12 +302,9 @@ def p_bernoulli_stirling_sum(upper: int, p: int, sign: int) -> Fraction:
     """
     if p < 1:
         raise ValueError("requires p >= 1")
-    row = stirling2_row(upper)
+    coeffs = fubini_poly(upper).numerators
     acc = sum(
-        (
-            Fraction(sign * (-1) ** k * row[k + 1] * factorial(k + 1), k + p + 1)
-            for k in range(upper)
-        ),
+        (Fraction(sign * (-1) ** k * coeffs[k + 1], k + p + 1) for k in range(upper)),
         Fraction(0),
     )
     return Fraction(p + 1, p) * acc

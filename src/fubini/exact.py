@@ -670,6 +670,11 @@ def _divide_by_x_minus_1(nums: Sequence[int], limit: int) -> tuple[Sequence[int]
     return nums, m
 
 
+def _pole_power(k: int) -> Poly:
+    """(x-1)^k from its signed binomial coefficients."""
+    return _raw_poly(tuple((-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)), 1)
+
+
 class RatFunc:
     """Rational function num / (x-1)^order, whose only possible pole is x = 1.
 
@@ -680,7 +685,7 @@ class RatFunc:
     means: (x-1) does not divide the numerator when k > 0, and the zero
     function has order 0.  Two RatFunc values are equal exactly when
     ``(num, order)`` are equal; ``den`` builds (x-1)^k from its binomial
-    coefficients on each read.
+    coefficients on each read, and a sum is built over the larger order.
     Evaluation at p/q uses this pole form: one Horner pass over the
     numerator and one division by its denominator times q^deg (p-q)^k;
     x = 1 raises ``ZeroDivisionError`` when k > 0.
@@ -709,8 +714,7 @@ class RatFunc:
 
     @property
     def den(self) -> Poly:
-        k = self.order
-        return _raw_poly(tuple((-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)), 1)
+        return _pole_power(self.order)
 
     @classmethod
     def zero(cls) -> "RatFunc":
@@ -739,7 +743,9 @@ class RatFunc:
         other = self._as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, order=self.order + other.order)
+        k = max(self.order, other.order)
+        num = self.num * _pole_power(k - self.order) + other.num * _pole_power(k - other.order)
+        return RatFunc(num, order=k)
 
     __radd__ = __add__
 

@@ -7,12 +7,14 @@ recurrence, reflection form, split form) plus the two-variable extension
 F_n(x;y) = sum_k C(n,k) * F_k(y) * x^(n-k).  Route agreement is what the
 identity catalog checks; each route is kept self-contained here.
 
-F_n is memoised per index up to `combinat.MEMO_ROWS`, the rows the
-Stirling memo keeps; a larger index is rebuilt from its row on each call
-and not stored.  The point evaluators sum integer numerators over one
-common denominator and build one Fraction per call instead of several per
-term: the split form at y = c/d over d^n (2c+d)^(n+1), the two-variable
-convolution at (a/b, c/d) over (bd)^n.
+Only ``fubini_poly`` multiplies a Stirling row by k!; the other routes
+here, in ``apostol`` and in ``bernoulli_numbers`` (but for ``bernoulli``)
+read S2(n,k) k! as its coefficients.  F_n and F_n(x;y) are memoised per
+index up to `combinat.MEMO_ROWS`, the rows the Stirling memo keeps; a
+larger index is rebuilt on each call and not stored.  The point evaluators sum integer
+numerators over one common denominator and build one Fraction per call
+instead of several per term: the split form at y = c/d over
+d^n (2c+d)^(n+1), the two-variable convolution at (a/b, c/d) over (bd)^n.
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ def fubini_two_var(n: int) -> BiPoly:
     result = BiPoly(
         [binomial(n, k) * c for c in fubini_poly(k).numerators] for k in range(n, -1, -1)
     )
+    if n > MEMO_ROWS:
+        return result
     with _lock:
-        _two_var_cache.setdefault(n, result)
-    return _two_var_cache[n]
+        return _two_var_cache.setdefault(n, result)
 
 
 def fubini_two_var_eval(n: int, x: Scalar, y: Scalar) -> Fraction:
@@ -146,11 +149,11 @@ def fubini_reflection_form(n: int) -> Poly:
     if n < 1:
         raise ValueError("reflection form requires n >= 1")
     one_plus_y = Poly([1, 1])
-    row = stirling2_row(n)
+    coeffs = fubini_poly(n).numerators
     total = Poly.zero()
     power = Poly.constant(1)
     for k in range(1, n + 1):
-        total = total + (row[k] * (-1) ** (n + k) * factorial(k)) * power
+        total = total + (coeffs[k] * (-1) ** (n + k)) * power
         power = power * one_plus_y
     return Poly.variable() * total
 
@@ -164,15 +167,15 @@ def fubini_split_eval(n: int, y: Scalar) -> Fraction:
     if yv == Fraction(-1, 2):
         raise ValueError("split form is singular at y = -1/2")
     # With y = c/d and 2y+1 = e/d, term k over d^n e^(n+1) is
-    # S2(n,k) k! c^k (de)^(n-k) [2^(n+1) (c+d) c^k + (-1)^(k+1) d^(k+1)];
-    # the sum runs as a Horner scheme in de.
+    # a_k c^k (de)^(n-k) [2^(n+1) (c+d) c^k + (-1)^(k+1) d^(k+1)], where
+    # a_k = S2(n,k) k! is the coefficient of y^k in F_n; the sum runs as a
+    # Horner scheme in de.
     c, d = yv.numerator, yv.denominator
     e = 2 * c + d
     de, lead = d * e, 2 ** (n + 1) * (c + d)
-    total, factorial_k, c_k, tail = 0, 1, 1, -d
-    for k, s in enumerate(stirling2_row(n)):
-        total = total * de + s * factorial_k * c_k * (lead * c_k + tail)
-        factorial_k *= k + 1
+    total, c_k, tail = 0, 1, -d
+    for a in fubini_poly(n).numerators:
+        total = total * de + a * c_k * (lead * c_k + tail)
         c_k *= c
         tail *= -d
     return Fraction(total, d**n * e ** (n + 1))
@@ -189,14 +192,14 @@ def fubini_split_collapse(n: int) -> tuple[Poly, Poly]:
         raise ValueError("index must be non-negative")
     y = Poly.variable()
     two_y_plus_1 = Poly([1, 2])
-    lhs = fubini_poly(n) * two_y_plus_1 ** (n + 1)
-    row = stirling2_row(n)
+    poly = fubini_poly(n)
+    lhs = poly * two_y_plus_1 ** (n + 1)
     rhs = Poly.zero()
-    for k in range(n + 1):
-        if row[k] == 0:
+    for k, a in enumerate(poly.numerators):
+        if a == 0:
             continue
         bracket = (2 ** (n + 1)) * Poly([1, 1]) * y**k + Poly.constant((-1) ** (k + 1))
-        rhs = rhs + (row[k] * factorial(k)) * y**k * bracket * two_y_plus_1 ** (n - k)
+        rhs = rhs + a * y**k * bracket * two_y_plus_1 ** (n - k)
     return lhs, rhs
 
 
@@ -204,37 +207,19 @@ def fubini_number_split_sum(n: int) -> Fraction:
     """F_n via the split form at y = 1: sum_k S2(n,k) k! [2^(n+2) + (-1)^(k+1)] / 3^(k+1)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    row = stirling2_row(n)
-    return sum(
-        (
-            Fraction(row[k] * factorial(k) * (2 ** (n + 2) + (-1) ** (k + 1)), 3 ** (k + 1))
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    return fubini_split_eval(n, 1)
 
 
 def fubini_number_split_sum_neg2(n: int) -> Fraction:
     """F_n via the split form at y = -2:
 
-    sum_k (-1)^(n-k) S2(n,k) k! 2^(k-1) [2^(n+k+1) + 1] / 3^(k+1), for n >= 1.
+    sum_k (-1)^(n-k) S2(n,k) k! 2^(k-1) [2^(n+k+1) + 1] / 3^(k+1), for n >= 1,
+
+    which is (-1)^n F_n(-2) / 2 with F_n(-2) from the split form.
     """
     if n < 1:
         raise ValueError("this specialization requires n >= 1")
-    row = stirling2_row(n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        if row[k] == 0:
-            continue
-        total += (
-            (-1) ** (n - k)
-            * row[k]
-            * factorial(k)
-            * Fraction(2, 1) ** (k - 1)
-            * (2 ** (n + k + 1) + 1)
-            / 3 ** (k + 1)
-        )
-    return total
+    return (-1) ** n * fubini_split_eval(n, -2) / 2
 
 
 def geometric_moment_partial_sum(n: int, x: Scalar, terms: int) -> Fraction:

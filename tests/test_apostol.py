@@ -19,6 +19,7 @@ from fubini.apostol import (
 )
 from fubini import apostol, registry
 from fubini.bernoulli_numbers import bernoulli
+from fubini.combinat import MEMO_ROWS
 from fubini.exact import Poly, RatFunc
 
 LAMBDA_SAMPLES = [
@@ -60,6 +61,13 @@ class TestConstruction:
         assert apostol_via_fubini(n) == direct
         assert apostol_alternating_form(n - 1) == direct
         assert direct.order == n
+
+    def test_memoised_only_up_to_memo_rows(self):
+        assert apostol_bernoulli(MEMO_ROWS) is apostol_bernoulli(MEMO_ROWS)
+        first = apostol_bernoulli(MEMO_ROWS + 1)
+        second = apostol_bernoulli(MEMO_ROWS + 1)
+        assert second == first and second is not first
+        assert max(apostol._apostol_cache) <= MEMO_ROWS
 
     def test_alternating_route_rejects_lowest_index(self):
         with pytest.raises(ValueError):
@@ -122,12 +130,12 @@ class TestSplitForm:
             apostol_split_eval(2, lam)
 
     def test_grid(self):
-        for n in range(13):
+        for n in [*range(13), MEMO_ROWS + 6]:
+            func = apostol_bernoulli(n + 1)
             for lam in LAMBDA_SAMPLES:
                 if lam in (1, -1):
                     continue
-                expected = apostol_bernoulli(n + 1)(lam) / (n + 1)
-                assert apostol_split_eval(n, lam) == expected
+                assert apostol_split_eval(n, lam) == func(lam) / (n + 1)
 
 
 class TestSumOfProducts:

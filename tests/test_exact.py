@@ -504,6 +504,13 @@ class TestRatFunc:
             assert value(x) == expected
             assert value.is_polynomial() or value.num(1) != 0
 
+    @given(ratfuncs(), ratfuncs())
+    def test_sum_matches_the_cross_multiplied_form(self, f, g):
+        # The sum is built over the larger pole order, not over the
+        # product of the denominators.
+        expected = RatFunc(f.num * g.den + g.num * f.den, order=f.order + g.order)
+        assert f + g == expected
+
     def test_pow(self):
         f = RatFunc(Poly([1]), order=1)
         assert (f**2).order == 2

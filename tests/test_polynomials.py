@@ -158,6 +158,14 @@ class TestTwoVariable:
         with pytest.raises(ValueError):
             fubini_two_var_eval(-1, 1, 1)
 
+    def test_memoised_only_up_to_memo_rows(self):
+        assert fubini_two_var(MEMO_ROWS) is fubini_two_var(MEMO_ROWS)
+        first = fubini_two_var(MEMO_ROWS + 1)
+        second = fubini_two_var(MEMO_ROWS + 1)
+        assert second == first and second is not first
+        assert first.substitute_x(0) == fubini_poly(MEMO_ROWS + 1)
+        assert max(polynomials._two_var_cache) <= MEMO_ROWS
+
     @pytest.mark.parametrize("x, y", [(0.5, 1), (1, 0.5)])
     def test_float_is_rejected(self, x, y):
         with pytest.raises(TypeError):
@@ -209,6 +217,7 @@ class TestSplitForm:
     @example(8, -3, 4)  # 2y + 1 < 0
     @example(5, -1, 2)  # the singular point
     @example(5, -25, 50)  # the singular point, unreduced
+    @example(MEMO_ROWS + 6, -3, 4)  # F_n rebuilt, not memoised
     def test_matches_fraction_reference(self, n, p, q):
         y = Fraction(p, q)
         if y == Fraction(-1, 2):
@@ -234,7 +243,7 @@ class TestSplitForm:
         with pytest.raises(ValueError):
             fubini_number_split_sum_neg2(0)
 
-    @pytest.mark.parametrize("n", range(21))
+    @pytest.mark.parametrize("n", [*range(21), MEMO_ROWS, MEMO_ROWS + 1, 100])
     def test_number_split_matches(self, n):
         assert fubini_number_split_sum(n) == fubini_number(n)
         if n >= 1:

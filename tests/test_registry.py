@@ -10,6 +10,7 @@ import pytest
 import fubini.bernoulli_numbers
 from fubini import cli
 from fubini import registry as rg
+from fubini.combinat import MEMO_ROWS
 from fubini.exact import Poly, RatFunc
 
 REQUIRED_IDS = [
@@ -119,6 +120,25 @@ class TestVerify:
         assert all(y in (Fraction(-1, 2), Fraction(-1)) for _, y in skipped)
         assert skipped, "singular grid points must be reported as skipped"
         assert all(r.status != rg.FAIL for r in reports)
+
+    @pytest.mark.parametrize(
+        "identity, overrides",
+        [
+            ("eq85_number_split", {"n_max": 100}),
+            ("eq86_number_split_neg2", {"n_max": 100}),
+            ("ab_routes", {"n_max": 100}),
+            ("ab_guoqi", {"n_max": 100}),
+            ("eq21_explicit", {"n_max": 70}),
+            ("pb_odd_explicit", {"n_max": 40, "p_max": 3}),  # reads F_2n
+            ("double_sum", {"n_max": 70, "m_max": 3}),
+        ],
+    )
+    def test_grids_past_the_memo_pass(self, identity, overrides):
+        # Each grid reads some F_n with n >= 70 > MEMO_ROWS, rebuilt on each
+        # call rather than memoised.
+        assert MEMO_ROWS < 70
+        reports = rg.verify(identity, overrides=overrides)
+        assert [r for r in reports if r.status != rg.PASS] == []
 
     def test_unknown_identity(self):
         with pytest.raises(KeyError):
