@@ -1,15 +1,15 @@
 """Bernoulli and p-Bernoulli numbers, and the Fubini integrals over [-1, 0].
 
-Convention: B_1 = -1/2 (the value of the Stirling sum that gives B_n up to
-combinat.MEMO_ROWS); odd-index values vanish from B_3 on.  Above MEMO_ROWS
-no Stirling row is read: an odd-index B_n is 0 at once, and an even one
-comes from a tangent number.  The tangent numbers are the last entries of
-Knuth and Buckholtz's triangle (Math. Comp. 21, 1967), built column by
-column; the last column built is kept as a cursor, so ascending requests
-extend it by one column per index.  The two-index family B_{n,p} is
-computed from the first-kind Stirling relation and reduces to B_n at
-p = 0.  Integral identities pair an exact polynomial integral with an
-independent Bernoulli-sum route, returning both so callers can compare.
+Convention: B_1 = -1/2, the value of the integral of F_1 over [-1, 0];
+odd-index values vanish from B_3 on.  ``bernoulli`` reads no Stirling row
+at any index: an odd-index B_n is 0 at once, and an even one comes from a
+tangent number.  The tangent numbers are the last entries of Knuth and
+Buckholtz's triangle (Math. Comp. 21, 1967), built column by column; the
+last column built is kept as a cursor, so ascending requests extend it by
+one column per index.  The two-index family B_{n,p} is computed from the
+first-kind Stirling relation and reduces to B_n at p = 0.  Integral
+identities pair an exact polynomial integral with an independent
+Bernoulli-sum route, returning both so callers can compare.
 
 Two kernels do the arithmetic, each one integer sum over one common
 denominator that builds a single Fraction: ``_integral`` integrates
@@ -32,7 +32,7 @@ from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
-from .combinat import MEMO_ROWS, binomial, stirling1_row, stirling2_row
+from .combinat import MEMO_ROWS, binomial, stirling1_row
 from .exact import Poly
 from .polynomials import fubini_poly
 
@@ -53,8 +53,7 @@ _numerator_view: tuple[tuple[int, ...], int] = ((), 1)
 def bernoulli(n: int) -> Fraction:
     """B_n, computed once per index.
 
-    Up to MEMO_ROWS: B_n = sum_k S2(n,k) * (-1)^k * k! / (k+1), one integer
-    sum over lcm(1..n+1).  Above it, B_n = 0 for odd n, and for n = 2k
+    B_0 = 1, B_1 = -1/2, and B_n = 0 for odd n >= 3; for n = 2k >= 2
 
         B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)),
 
@@ -67,18 +66,10 @@ def bernoulli(n: int) -> Fraction:
         return value
     with _lock:
         if n not in _bernoulli_cache:
-            if n <= MEMO_ROWS:
-                # Its own Stirling sum: read from F_n, it would be
-                # _integral(fubini_poly(n)), the other side of eq26.
-                den = lcm(*range(1, n + 2))
-                num, factorial_k = 0, 1
-                for k, s in enumerate(stirling2_row(n)):
-                    term = s * factorial_k * (den // (k + 1))
-                    num += -term if k % 2 else term
-                    factorial_k *= k + 1
-                value = Fraction(num, den)
+            if n == 0:
+                value = Fraction(1)
             elif n % 2:
-                value = Fraction(0)
+                value = Fraction(-1, 2) if n == 1 else Fraction(0)
             else:
                 k = n // 2
                 power = 4**k

@@ -8,10 +8,10 @@ F_n(x;y) = sum_k C(n,k) * F_k(y) * x^(n-k).  Route agreement is what the
 identity catalog checks; each route is kept self-contained here.
 
 Only ``fubini_poly`` multiplies a Stirling row by k!; the other routes
-here, in ``apostol`` and in ``bernoulli_numbers`` (but for ``bernoulli``)
-read S2(n,k) k! as its coefficients.  F_n and F_n(x;y) are memoised per
-index up to `combinat.MEMO_ROWS`, the rows the Stirling memo keeps; a
-larger index is rebuilt on each call and not stored.  The point evaluators sum integer
+here, in ``apostol`` and in ``bernoulli_numbers`` read S2(n,k) k! as its
+coefficients.  F_n and F_n(x;y) are memoised per index up to
+`combinat.MEMO_ROWS`, the rows the Stirling memo keeps; a larger index is
+rebuilt on each call and not stored.  The point evaluators sum integer
 numerators over one common denominator and build one Fraction per call
 instead of several per term: the split form at y = c/d over
 d^n (2c+d)^(n+1), the two-variable convolution at (a/b, c/d) over (bd)^n.

@@ -491,7 +491,10 @@ def _eval_eq30_sym(p: dict) -> Check:
 
 
 def _eval_eq32(p: dict) -> Check:
-    return Check("eq", bn.bernoulli(p["n"]), bn.bernoulli_recurrence(p["n"]))
+    # The Stirling sum of the printed statement is the integral of F_n over
+    # [-1, 0]; ``bernoulli`` reads tangent numbers instead.
+    n = p["n"]
+    return Check("eq", fp.fubini_poly(n).integrate(-1, 0), bn.bernoulli_recurrence(n))
 
 
 def _eval_eq33(p: dict) -> Check:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fubini import bernoulli_numbers
+from fubini import bernoulli_numbers, combinat, polynomials
 from fubini.combinat import MEMO_ROWS, stirling2
 from fubini.bernoulli_numbers import (
     bernoulli,
@@ -48,6 +48,12 @@ rational_polys = st.one_of(
 )
 
 
+def forbid_stirling_rows(monkeypatch, forbidden):
+    """Make every read of a second-kind Stirling row call ``forbidden``."""
+    monkeypatch.setattr(combinat, "stirling2_row", forbidden)
+    monkeypatch.setattr(polynomials, "stirling2_row", forbidden)
+
+
 class TestBernoulli:
     def test_frozen_values(self):
         assert bernoulli(0) == 1
@@ -81,7 +87,7 @@ class TestBernoulli:
 
         monkeypatch.setattr(bernoulli_numbers, "_recurrence_cache", [Fraction(1)])
         monkeypatch.setattr(bernoulli_numbers, "_recurrence_nums", [1])
-        monkeypatch.setattr(bernoulli_numbers, "stirling2_row", forbidden)
+        forbid_stirling_rows(monkeypatch, forbidden)
         monkeypatch.setattr(bernoulli_numbers, "bernoulli", forbidden)
         assert bernoulli_recurrence(40) == Fraction(-261082718496449122051, 13530)
         assert bernoulli_recurrence(12) == Fraction(-691, 2730)
@@ -99,8 +105,9 @@ class TestBernoulli:
         assert bernoulli_via_integral(1) == Fraction(-1, 2)
         assert bernoulli_via_integral(2) == Fraction(1, 6)
         assert bernoulli_via_integral(3) == 0
-        for n in range(1, 31):
-            assert bernoulli_via_integral(n) == bernoulli(n)
+        # The two sides share no formula, below the memo bound or above it.
+        for n in range(1, MEMO_ROWS + 11):
+            assert bernoulli_via_integral(n) == bernoulli(n), n
 
     def test_integral_route_requires_positive_index(self):
         with pytest.raises(ValueError):
@@ -141,11 +148,11 @@ class TestAboveTheMemo:
 
     def test_reads_no_stirling_row(self, cold, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("B_n above MEMO_ROWS must not read a Stirling row")
+            raise AssertionError("B_n must not read a Stirling row at any index")
 
-        monkeypatch.setattr(bernoulli_numbers, "stirling2_row", forbidden)
+        forbid_stirling_rows(monkeypatch, forbidden)
         oracle = bernoulli_akiyama_tanigawa(301)
-        for n in (301, 300, MEMO_ROWS + 1, MEMO_ROWS + 2, 150):
+        for n in (301, 300, MEMO_ROWS + 1, MEMO_ROWS + 2, 150, MEMO_ROWS, 41, 12, 7, 2, 1, 0):
             assert bernoulli(n) == oracle[n], n
 
     def test_values_are_cached(self, cold):

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import fubini.bernoulli_numbers
+import fubini.combinat
+import fubini.polynomials
 from fubini import cli
 from fubini import registry as rg
 from fubini.combinat import MEMO_ROWS
@@ -226,6 +228,26 @@ class TestVerifyAll:
         run = rg.verify_all("quick")
         assert run.failed >= 1
         assert not run.ok
+
+
+class TestStirlingFaults:
+    def test_wrong_stirling_entries_fail_eq26_and_eq32(self, monkeypatch):
+        # Both entries read the Stirling sum as the integral of F_n, and
+        # compare it with routes that read no Stirling row: eq26 with the
+        # tangent numbers, eq32 with the binomial recurrence.
+        fubini.combinat.stirling2_row(10)
+        rows = list(fubini.combinat._stirling2_rows)
+        for n in (7, 8):
+            row = list(rows[n])
+            row[3] += 1
+            rows[n] = tuple(row)
+        monkeypatch.setattr(fubini.combinat, "_stirling2_rows", rows)
+        monkeypatch.setattr(fubini.polynomials, "_poly_cache", {})
+        monkeypatch.setattr(fubini.bernoulli_numbers, "_bernoulli_cache", {})
+        monkeypatch.setattr(fubini.bernoulli_numbers, "_numerator_view", ((), 1))
+        for identity in ("eq26_integral", "eq32_bernoulli"):
+            reports = rg.verify(identity, profile="full")
+            assert {r.params["n"] for r in reports if r.status == rg.FAIL} == {7, 8}, identity
 
 
 class TestCatalogDocument:
