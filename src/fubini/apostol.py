@@ -13,13 +13,13 @@ exactly to the finite Fubini integrals over [-1, 0] via the substitution
 y = lambda/(1-lambda), so both of their routes are the Fubini integrals
 of ``bernoulli_numbers`` times a constant; a numerical quadrature oracle
 cross-checks them independently.  Each route reads S2(n,k) k! as the
-coefficients of ``fubini_poly``.  ``apostol_bernoulli`` is memoised per
-index up to ``combinat.MEMO_ROWS``; a larger index is built on each call.
+coefficients of ``fubini_poly``.  ``apostol_bernoulli`` is a
+``combinat.memo_rows`` memo: indices up to MEMO_ROWS are kept, a larger
+one is built on each call.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isfinite
 from operator import sub
@@ -30,17 +30,15 @@ from .bernoulli_numbers import (
     fubini_product_integral,
     fubini_product_integral_exact,
 )
-from .combinat import MEMO_ROWS, binomial
+from .combinat import binomial, memo_rows
 from .exact import Poly, RatFunc, Scalar, _exact, _poly, homogeneous_compose
 from .polynomials import fubini_poly
 
 _MINUS_LAMBDA = Poly([0, -1])
 _LAMBDA_MINUS_1 = Poly([-1, 1])
 
-_lock = threading.Lock()
-_apostol_cache: dict[int, RatFunc] = {0: RatFunc.zero()}
 
-
+@memo_rows
 def apostol_bernoulli(n: int) -> RatFunc:
     """Index-n Apostol-Bernoulli function, canonical form.
 
@@ -49,22 +47,15 @@ def apostol_bernoulli(n: int) -> RatFunc:
     numerator is n * sum_k S2(n-1,k) k! (-lambda)^k (lambda-1)^(n-1-k),
     built by Horner's rule in (lambda-1) on the coefficients of F_{n-1}.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    value = _apostol_cache.get(n)
-    if value is not None:
-        return value
+    if n == 0:
+        return RatFunc.zero()
     total: list[int] = []
     for k, a in enumerate(fubini_poly(n - 1).numerators):
         # Before the step total has k coefficients; times (lambda-1) it
         # has k+1, and the new term is the lambda^k one.
         total = _times_lambda_minus_1(total)
         total[k] += -a if k % 2 else a
-    value = RatFunc(_poly([n * c for c in total]), order=n)
-    if n > MEMO_ROWS:
-        return value
-    with _lock:
-        return _apostol_cache.setdefault(n, value)
+    return RatFunc(_poly([n * c for c in total]), order=n)
 
 
 def apostol_via_fubini(n: int) -> RatFunc:

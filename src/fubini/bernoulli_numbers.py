@@ -4,9 +4,11 @@ Convention: B_1 = -1/2, the value of the integral of F_1 over [-1, 0];
 odd-index values vanish from B_3 on.  ``bernoulli`` reads no Stirling row
 at any index: an odd-index B_n is 0 at once, and an even one comes from a
 tangent number.  The tangent numbers are the last entries of Knuth and
-Buckholtz's triangle (Math. Comp. 21, 1967), built column by column; the
-last column built is kept as a cursor, so ascending requests extend it by
-one column per index.  The two-index family B_{n,p} is computed from the
+Buckholtz's triangle (Math. Comp. 21, 1967), a ``combinat.rolled``
+sequence of columns, so ascending requests extend it by one column per
+index.  The binomial recurrence is rolled too, as one list of integer
+numerators over a common denominator.  ``bernoulli`` itself keeps every
+value it has built.  The two-index family B_{n,p} is computed from the
 first-kind Stirling relation and reduces to B_n at p = 0.  Integral
 identities pair an exact polynomial integral with an independent
 Bernoulli-sum route, returning both so callers can compare.
@@ -28,23 +30,16 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from operator import add, mul
+from math import factorial, lcm
+from operator import mul
 from typing import Sequence
 
-from .combinat import MEMO_ROWS, binomial, stirling1_row
+from .combinat import MEMO_ROWS, binomial, rolled, stirling1_row
 from .exact import Poly
 from .polynomials import fubini_poly
 
 _lock = threading.Lock()
 _bernoulli_cache: dict[int, Fraction] = {}
-# B_0.. by the binomial recurrence, and the same values as integer numerators
-# over their least common denominator; as B_0 = 1, nums[0] is that denominator.
-_recurrence_cache: list[Fraction] = [Fraction(1)]
-_recurrence_nums: list[int] = [1]
-# The last column built of the tangent-number triangle: column N holds N
-# entries and ends with T_N, so T_1 = 1 starts it.
-_tangent_column: list[int] = [1]
 # B_0..B_h (h <= MEMO_ROWS) as (numerators, their common denominator),
 # replaced as one tuple whenever a weighted sum reads past its end.
 _numerator_view: tuple[tuple[int, ...], int] = ((), 1)
@@ -57,7 +52,7 @@ def bernoulli(n: int) -> Fraction:
 
         B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)),
 
-    where T_k is the k-th tangent number (see ``_tangent``).
+    where T_k is the k-th tangent number (see ``_tangent_column``).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -73,32 +68,39 @@ def bernoulli(n: int) -> Fraction:
             else:
                 k = n // 2
                 power = 4**k
-                value = Fraction((-1) ** (k - 1) * n * _tangent(k), power * (power - 1))
+                tangent = _tangent_column(k - 1)[-1]
+                value = Fraction((-1) ** (k - 1) * n * tangent, power * (power - 1))
             _bernoulli_cache[n] = value
     return _bernoulli_cache[n]
 
 
-def _tangent(k: int) -> int:
-    """The tangent number T_k (1, 2, 16, 272, ...), for k >= 1; call under _lock.
+@rolled([1])
+def _tangent_column(col: list[int], n: int) -> list[int]:
+    """Column n+1 of Knuth and Buckholtz's triangle: n+1 entries, the last
+    of them the tangent number T_{n+1} (1, 2, 16, 272, ...).
 
-    Knuth and Buckholtz's triangle, built column by column: from column N,
-    (C_1..C_N), the next column is c_1 = N C_1 and
-    c_j = (N+1-j) C_j + (N+3-j) c_{j-1} for j = 2..N+1, with C_{N+1} = 0,
-    so that c_{N+1} = 2 c_N = T_{N+1}.  The last column is kept, so
-    ascending requests cost one column per new index; a request below it
-    starts again from column 1.
+    From column n, (C_1..C_n), the next column is c_1 = n C_1 and
+    c_j = (n+1-j) C_j + (n+3-j) c_{j-1} for j = 2..n+1, with C_{n+1} = 0,
+    so that c_{n+1} = 2 c_n = T_{n+1}.
     """
-    col = _tangent_column if len(_tangent_column) <= k else [1]
-    while len(col) < k:
-        c, nxt = 0, []
-        # w = N+1-j runs from N down to 1.
-        for w, t in zip(range(len(col), 0, -1), col):
-            c = w * t + (w + 2) * c
-            nxt.append(c)
-        nxt.append(2 * c)
-        col = nxt
-    _tangent_column[:] = col
-    return col[-1]
+    c, nxt = 0, []
+    # w = n+1-j runs from n down to 1.
+    for w, t in zip(range(n, 0, -1), col):
+        c = w * t + (w + 2) * c
+        nxt.append(c)
+    nxt.append(2 * c)
+    return nxt
+
+
+@rolled([1])
+def _recurrence_numerators(nums: list[int], n: int) -> list[int]:
+    """B_0..B_n by the binomial recurrence, as integer numerators over their
+    least common denominator; as B_0 = 1, nums[0] is that denominator."""
+    total = sum(binomial(n + 1, k) * c for k, c in enumerate(nums))
+    value = Fraction(-total, nums[0] * (n + 1))
+    den = lcm(nums[0], value.denominator)
+    scale = den // nums[0]
+    return [c * scale for c in nums] + [value.numerator * (den // value.denominator)]
 
 
 def bernoulli_recurrence(n: int) -> Fraction:
@@ -106,25 +108,8 @@ def bernoulli_recurrence(n: int) -> Fraction:
 
     B_0 = 1 and sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n < len(_recurrence_cache):
-        return _recurrence_cache[n]
-    with _lock:
-        nums = _recurrence_nums
-        m = len(nums)
-        pascal = [binomial(m + 1, k) for k in range(m + 2)]
-        while m <= n:
-            # pascal holds C(m+1, k) for k = 0..m+1.
-            value = Fraction(-sum(map(mul, pascal, nums)), nums[0] * (m + 1))
-            scale = value.denominator // gcd(nums[0], value.denominator)
-            if scale != 1:
-                nums[:] = [c * scale for c in nums]
-            nums.append(value.numerator * (nums[0] // value.denominator))
-            _recurrence_cache.append(value)
-            pascal = [*map(add, pascal + [0], [0] + pascal)]
-            m += 1
-    return _recurrence_cache[n]
+    nums = _recurrence_numerators(n)
+    return Fraction(nums[n], nums[0])
 
 
 def bernoulli_via_integral(n: int) -> Fraction:
@@ -189,13 +174,6 @@ def _bernoulli_combination(weights: Sequence[int], start: int, divisor: int = 1)
     den = lcm(*[v.denominator for v in values])
     num = sum(w * v.numerator * (den // v.denominator) for w, v in zip(weights, values))
     return Fraction(num, den * divisor)
-
-
-def stirling_bernoulli_sum(k: int, n: int) -> Fraction:
-    """sum_{j=0}^{k} S1u(k+1, j+1) * B_{n+j}."""
-    if k < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
-    return _bernoulli_combination(stirling1_row(k + 1)[1:], n)
 
 
 def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:

@@ -1,25 +1,96 @@
 """Stirling numbers of both kinds, binomials, and their matrix identities.
 
-Triangles are grown row by row from the defining recurrences; rows up to
-MEMO_ROWS are memoized.  A single second-kind entry above MEMO_ROWS comes
-from the explicit alternating sum k! S2(n, k) = sum_j (-1)^(k-j) C(k, j) j^n
-and builds no row.  The signed first kind is a derived view of the
-unsigned triangle, never a second table.
+The memo policy of the package lives here, next to MEMO_ROWS, as two
+decorators that take the one lock ``_lock``: ``memo_rows`` stores a value
+built from n alone for n <= MEMO_ROWS, and ``rolled`` stores the terms of
+a step sequence up to MEMO_ROWS and keeps one cursor above them.  Both
+Stirling triangles are rolled row by row from their recurrences.  A
+single second-kind entry above MEMO_ROWS comes from the explicit
+alternating sum k! S2(n, k) = sum_j (-1)^(k-j) C(k, j) j^n and builds no
+row.  The signed first kind is a derived view of the unsigned triangle,
+never a second table.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from functools import wraps
 from itertools import repeat
 from operator import add, mul
 
-MEMO_ROWS = 64  # the highest memoized row; the full catalog reads up to 41
+MEMO_ROWS = 64  # the highest memoized index; the full catalog reads up to 41
 
 _lock = threading.Lock()
-_stirling2_rows: list[tuple[int, ...]] = [(1,)]
-_stirling1_rows: list[tuple[int, ...]] = [(1,)]
-_cursor: dict[int, tuple[int, ...]] = {}  # last row above MEMO_ROWS, by memo id
+
+
+def memo_rows(build):
+    """Memoise ``build(n)`` in the wrapper's ``memo`` dict for n <= MEMO_ROWS;
+    a larger n is built on each call and not kept.
+
+    ``build`` runs outside ``_lock``, so it may read other memos; racing
+    threads all get the value published first.
+    """
+    memo: dict = {}
+
+    @wraps(build)
+    def value(n):
+        cached = memo.get(n)
+        if cached is not None:
+            return cached
+        if n < 0:
+            raise ValueError("index must be non-negative")
+        result = build(n)
+        if n > MEMO_ROWS:
+            return result
+        with _lock:
+            return memo.setdefault(n, result)
+
+    value.memo = memo
+    return value
+
+
+def rolled(first):
+    """Turn ``step`` into term(n) of term(0) = first, term(n) = step(term(n-1), n).
+
+    Terms up to MEMO_ROWS are stored in the wrapper's ``terms`` dict; above
+    them the last term built is kept as {n: term} in its ``cursor`` dict.
+    A read rolls on from the cursor if that is not past n, else from the
+    last stored term.  Steps run under ``_lock``, so they take no lock, and
+    each returns a new term: the one it is given may be stored.
+    """
+
+    def decorate(step):
+        terms = {0: first}
+        cursor: dict = {}
+
+        @wraps(step)
+        def term(n):
+            value = terms.get(n)
+            if value is not None:
+                return value
+            if n < 0:
+                raise ValueError("index must be non-negative")
+            with _lock:
+                m = min(n, len(terms) - 1)
+                value = terms[m]
+                for c, v in cursor.items():
+                    if m < c <= n:
+                        m, value = c, v
+                while m < n:
+                    m += 1
+                    value = step(value, m)
+                    if m <= MEMO_ROWS:
+                        terms[m] = value
+                if n > MEMO_ROWS:
+                    cursor.clear()
+                    cursor[n] = value
+            return value
+
+        term.terms, term.cursor = terms, cursor
+        return term
+
+    return decorate
 
 
 def binomial(n: int, k: int) -> int:
@@ -27,37 +98,18 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _row(rows: list[tuple[int, ...]], weights, n: int) -> tuple[int, ...]:
-    """Row n of the triangle T(m, k) = weights(m)[k] * T(m-1, k) + T(m-1, k-1).
-
-    A row above MEMO_ROWS is not stored: it is rolled forward from the last
-    such row built if that is not past n, else from the memo's last row.
-    """
-    if n < 0:
-        raise ValueError("row index must be non-negative")
-    with _lock:
-        row = _cursor.get(id(rows), rows[-1])
-        row = row if len(row) <= n + 1 else rows[-1]
-        while len(row) <= n:
-            m = len(row)
-            row = tuple(map(add, map(mul, weights(m), row + (0,)), (0,) + row))
-            if m == len(rows) <= MEMO_ROWS:
-                rows.append(row)
-        if n > MEMO_ROWS:
-            _cursor[id(rows)] = row
-    return rows[n] if n < len(rows) else row
-
-
-def stirling2_row(n: int) -> tuple[int, ...]:
+@rolled((1,))
+def stirling2_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Row n of the second-kind Stirling triangle, entries k = 0..n."""
-    rows = _stirling2_rows
-    return rows[n] if 0 <= n < len(rows) else _row(rows, lambda m: range(m + 1), n)
+    # S2(n, k) = k S2(n-1, k) + S2(n-1, k-1)
+    return tuple(map(add, map(mul, range(n + 1), row + (0,)), (0,) + row))
 
 
-def stirling1_row(n: int) -> tuple[int, ...]:
+@rolled((1,))
+def stirling1_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Row n of the unsigned first-kind Stirling triangle, entries k = 0..n."""
-    rows = _stirling1_rows
-    return rows[n] if 0 <= n < len(rows) else _row(rows, lambda m: repeat(m - 1), n)
+    # S1u(n, k) = (n-1) S1u(n-1, k) + S1u(n-1, k-1)
+    return tuple(map(add, map(mul, repeat(n - 1), row + (0,)), (0,) + row))
 
 
 def stirling2(n: int, k: int) -> int:

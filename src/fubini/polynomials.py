@@ -9,62 +9,41 @@ identity catalog checks; each route is kept self-contained here.
 
 Only ``fubini_poly`` multiplies a Stirling row by k!; the other routes
 here, in ``apostol`` and in ``bernoulli_numbers`` read S2(n,k) k! as its
-coefficients.  F_n and F_n(x;y) are memoised per index up to
-`combinat.MEMO_ROWS`, the rows the Stirling memo keeps; a larger index is
-rebuilt on each call and not stored.  The point evaluators sum integer
-numerators over one common denominator and build one Fraction per call
-instead of several per term: the split form at y = c/d over
-d^n (2c+d)^(n+1), the two-variable convolution at (a/b, c/d) over (bd)^n.
+coefficients.  F_n and F_n(x;y) are ``combinat.memo_rows`` memos and
+the derivative recurrence is a ``combinat.rolled`` sequence: each keeps
+its values up to MEMO_ROWS, and above it F_n and F_n(x;y) are rebuilt on
+each call while the recurrence keeps one cursor.  The point evaluators
+sum integer numerators over one common denominator and build one
+Fraction per call instead of several per term: the split form at
+y = c/d over d^n (2c+d)^(n+1), the two-variable convolution at
+(a/b, c/d) over (bd)^n.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial
 
-from .combinat import MEMO_ROWS, binomial, stirling2_row
+from .combinat import binomial, memo_rows, rolled, stirling2_row
 from .exact import BiPoly, Poly, Scalar, _exact, _horner
 
 BRUTEFORCE_CAP = 10
 
-_lock = threading.Lock()
-_poly_cache: dict[int, Poly] = {}
-_recurrence_cache: list[Poly] = [Poly.constant(1)]
-_two_var_cache: dict[int, BiPoly] = {}
 
-
+@memo_rows
 def fubini_poly(n: int) -> Poly:
     """F_n(y) from the Stirling triangle: sum_k S2(n,k) * k! * y^k."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    cached = _poly_cache.get(n)
-    if cached is not None:
-        return cached
     coeffs, factorial_k = [], 1
     for k, s in enumerate(stirling2_row(n)):
         coeffs.append(s * factorial_k)
         factorial_k *= k + 1
-    result = Poly(coeffs)
-    if n > MEMO_ROWS:
-        return result
-    with _lock:
-        return _poly_cache.setdefault(n, result)
+    return Poly(coeffs)
 
 
-def fubini_poly_recurrence(n: int) -> Poly:
+@rolled(Poly.constant(1))
+def fubini_poly_recurrence(prev: Poly, n: int) -> Poly:
     """F_n(y) from F_0 = 1 and F_{m+1}(y) = y * d/dy[(1+y) * F_m(y)]."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n < len(_recurrence_cache):
-        return _recurrence_cache[n]
-    one_plus_y = Poly([1, 1])
-    y = Poly.variable()
-    with _lock:
-        while len(_recurrence_cache) <= n:
-            prev = _recurrence_cache[-1]
-            _recurrence_cache.append(y * (one_plus_y * prev).derivative())
-    return _recurrence_cache[n]
+    return Poly.variable() * (Poly([1, 1]) * prev).derivative()
 
 
 def fubini_number(n: int) -> int:
@@ -102,22 +81,14 @@ def fubini_number_bruteforce(n: int) -> int:
     return sum(ordered_partition_block_counts(n))
 
 
+@memo_rows
 def fubini_two_var(n: int) -> BiPoly:
     """Two-variable polynomial F_n(x;y) = sum_k C(n,k) * F_k(y) * x^(n-k)."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    cached = _two_var_cache.get(n)
-    if cached is not None:
-        return cached
     # Row n-k (the coefficient of x^(n-k)) is C(n,k) * F_k(y); every F_k
     # has integer coefficients, so its numerators are the coefficients.
-    result = BiPoly(
+    return BiPoly(
         [binomial(n, k) * c for c in fubini_poly(k).numerators] for k in range(n, -1, -1)
     )
-    if n > MEMO_ROWS:
-        return result
-    with _lock:
-        return _two_var_cache.setdefault(n, result)
 
 
 def fubini_two_var_eval(n: int, x: Scalar, y: Scalar) -> Fraction:

@@ -17,7 +17,7 @@ from fubini.apostol import (
     improper_quadrature_oracle,
     lambda_moment_weight,
 )
-from fubini import apostol, registry
+from fubini import registry
 from fubini.bernoulli_numbers import bernoulli
 from fubini.combinat import MEMO_ROWS
 from fubini.exact import Poly, RatFunc
@@ -67,15 +67,15 @@ class TestConstruction:
         first = apostol_bernoulli(MEMO_ROWS + 1)
         second = apostol_bernoulli(MEMO_ROWS + 1)
         assert second == first and second is not first
-        assert max(apostol._apostol_cache) <= MEMO_ROWS
+        assert max(apostol_bernoulli.memo) <= MEMO_ROWS
 
     def test_alternating_route_rejects_lowest_index(self):
         with pytest.raises(ValueError):
             apostol_alternating_form(0)
 
     @pytest.mark.parametrize("n", [2, 25])
-    def test_each_route_canonicalises_once(self, n, monkeypatch):
-        monkeypatch.setattr(apostol, "_apostol_cache", {0: RatFunc.zero()})
+    def test_each_route_canonicalises_once(self, n, monkeypatch, forget):
+        forget(apostol_bernoulli)
         built = []
         init = RatFunc.__init__
 

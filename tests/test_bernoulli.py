@@ -24,7 +24,6 @@ from fubini.bernoulli_numbers import (
     p_bernoulli_odd_explicit,
     p_bernoulli_shift_relation,
     p_bernoulli_stirling_sum,
-    stirling_bernoulli_sum,
 )
 from fubini.exact import Poly
 from fubini.polynomials import fubini_poly
@@ -81,23 +80,28 @@ class TestBernoulli:
         for n in range(150, -1, -1):
             assert bernoulli(n) == bernoulli_recurrence(n), n
 
-    def test_recurrence_reads_no_stirling_number(self, monkeypatch):
+    def test_recurrence_reads_no_stirling_number(self, monkeypatch, forget):
         def forbidden(*args):
             raise AssertionError("the recurrence route must stay independent")
 
-        monkeypatch.setattr(bernoulli_numbers, "_recurrence_cache", [Fraction(1)])
-        monkeypatch.setattr(bernoulli_numbers, "_recurrence_nums", [1])
+        forget(bernoulli_numbers._recurrence_numerators)
         forbid_stirling_rows(monkeypatch, forbidden)
         monkeypatch.setattr(bernoulli_numbers, "bernoulli", forbidden)
         assert bernoulli_recurrence(40) == Fraction(-261082718496449122051, 13530)
         assert bernoulli_recurrence(12) == Fraction(-691, 2730)
+
+    def test_recurrence_keeps_terms_only_up_to_memo_rows(self):
+        numerators = bernoulli_numbers._recurrence_numerators
+        assert bernoulli_recurrence(MEMO_ROWS + 100) == bernoulli(MEMO_ROWS + 100)
+        assert len(numerators.terms) <= MEMO_ROWS + 1
+        assert list(numerators.cursor) == [MEMO_ROWS + 100]
 
     def test_odd_index_above_the_memo_is_zero_at_once(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("an odd index reads no tangent number")
 
         monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
-        monkeypatch.setattr(bernoulli_numbers, "_tangent", forbidden)
+        monkeypatch.setattr(bernoulli_numbers, "_tangent_column", forbidden)
         assert bernoulli(MEMO_ROWS + 1) == 0
         assert bernoulli(10**6 + 1) == 0
 
@@ -116,9 +120,10 @@ class TestBernoulli:
         assert fubini_poly(0).integrate(-1, 0) == bernoulli(0)
 
 
-# Above MEMO_ROWS an even-index B_n comes from a tangent number, and the
+# An even-index B_n comes from a tangent number, and above MEMO_ROWS the
 # tangent triangle is extended from its last column; these orders make that
-# cursor step forward, restart from column 1, and jump back and forth.
+# cursor step forward, restart from the stored columns, and jump back and
+# forth.
 HIGH_INDICES = [*range(MEMO_ROWS + 1, 201), 300, 301]
 INDEX_ORDERS = {
     "ascending": HIGH_INDICES,
@@ -129,15 +134,14 @@ INDEX_ORDERS = {
 
 class TestAboveTheMemo:
     @pytest.fixture
-    def cold(self, monkeypatch):
+    def cold(self, monkeypatch, forget):
         monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
-        monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
+        forget(bernoulli_numbers._tangent_column)
 
-    def test_first_tangent_numbers(self, monkeypatch):
-        monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
-        with bernoulli_numbers._lock:
-            tangents = [bernoulli_numbers._tangent(k) for k in range(1, 8)]
-            assert bernoulli_numbers._tangent(3) == 16  # below the cursor
+    def test_first_tangent_numbers(self, cold):
+        column = bernoulli_numbers._tangent_column
+        tangents = [column(k)[-1] for k in range(7)]
+        assert column(2)[-1] == 16  # a stored column
         assert tangents == [1, 2, 16, 272, 7936, 353792, 22368256]
 
     @pytest.mark.parametrize("order", sorted(INDEX_ORDERS))
@@ -159,11 +163,17 @@ class TestAboveTheMemo:
         assert bernoulli(300) is bernoulli(300)
         assert bernoulli(301) is bernoulli(301)
 
-    def test_last_column_is_kept(self, cold):
+    def test_last_column_is_kept(self, cold, monkeypatch):
+        column = bernoulli_numbers._tangent_column
         bernoulli(300)
-        assert len(bernoulli_numbers._tangent_column) == 150
-        bernoulli(200)  # below the cursor: restarts from column 1
-        assert len(bernoulli_numbers._tangent_column) == 100
+        assert len(column.terms) == MEMO_ROWS + 1
+        assert {k: len(col) for k, col in column.cursor.items()} == {149: 150}
+        # Below the cursor a read rolls on from the last stored column, not
+        # from column 1, so a wrong entry there shows in B_200.
+        last = column.terms[MEMO_ROWS]
+        monkeypatch.setitem(column.terms, MEMO_ROWS, [*last[:-1], last[-1] + 1])
+        assert bernoulli(200) != bernoulli_akiyama_tanigawa(200)[200]
+        assert {k: len(col) for k, col in column.cursor.items()} == {99: 100}
 
 
 # Weighted sums whose windows end below, at and above MEMO_ROWS: the first
@@ -254,15 +264,17 @@ class TestMomentIntegral:
 
 
 class TestStirlingBernoulliSum:
-    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=20))
-    @example(0, 0)
+    # The formula side of the moment integral: ((-1)^k / k!) times the sum.
+    @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=20))
+    @example(0, 1)
     def test_matches_fraction_reference(self, k, n):
-        assert stirling_bernoulli_sum(k, n) == stirling_bernoulli_sum_ref(k, n)
+        expected = Fraction((-1) ** k, factorial(k)) * stirling_bernoulli_sum_ref(k, n)
+        assert fubini_moment_integral(k, n)[1] == expected
 
     @pytest.mark.parametrize("k, n", [(-2, 3), (-1, 0), (2, -1)])
     def test_negative_index_is_rejected(self, k, n):
         with pytest.raises(ValueError):
-            stirling_bernoulli_sum(k, n)
+            fubini_moment_integral(k, n)
 
 
 class TestProductIntegral:

@@ -12,6 +12,7 @@ from fubini.combinat import (
     MEMO_ROWS,
     alternating_stirling_convolution,
     binomial,
+    rolled,
     stirling1_row,
     stirling1_signed,
     stirling1_unsigned,
@@ -191,11 +192,11 @@ class TestRowsAboveTheMemo:
         for n in ROW_ORDERS[order]:
             assert list(stirling1_row(n)) == RISING_FACTORIALS[n], n
 
-    def test_single_second_kind_entries_match_the_rolled_rows(self, monkeypatch):
+    def test_single_second_kind_entries_match_the_rolled_rows(self, forget):
         # Above MEMO_ROWS an entry is the explicit alternating sum and the row
         # is the recurrence: two independent routes.  Descending rows on a
-        # cleared cursor make each row restart from the memo.
-        monkeypatch.setattr(combinat, "_cursor", {})
+        # cold memo make each row restart from the stored rows.
+        forget(stirling2_row)
         for n in range(150, MEMO_ROWS - 1, -1):
             row = stirling2_row(n)
             for k in range(n + 2):
@@ -222,16 +223,59 @@ class TestRowsAboveTheMemo:
                 return False
 
         stirling2_row(MEMO_ROWS + 30)  # leave a row in the cursor
-        cursor = dict(combinat._cursor)
-        monkeypatch.setattr(combinat, "_row", forbidden)
+        cursor = dict(stirling2_row.cursor)
+        monkeypatch.setattr(combinat, "stirling2_row", forbidden)
         monkeypatch.setattr(combinat, "_lock", ForbiddenLock())
         assert stirling2(MEMO_ROWS + 1, 2) == 2 ** MEMO_ROWS - 1
         assert stirling2(300, 150) > 0
         assert stirling2(1000, 3) == (3**1000 - 3 * 2**1000 + 3) // 6
-        assert combinat._cursor == cursor
+        assert stirling2_row.cursor == cursor
 
     def test_rows_above_the_memo_are_not_stored(self):
         stirling2_row(500)
         stirling1_row(500)
-        assert len(combinat._stirling2_rows) <= MEMO_ROWS + 1
-        assert len(combinat._stirling1_rows) <= MEMO_ROWS + 1
+        assert len(stirling2_row.terms) <= MEMO_ROWS + 1
+        assert len(stirling1_row.terms) <= MEMO_ROWS + 1
+        assert list(stirling2_row.cursor) == list(stirling1_row.cursor) == [500]
+
+
+def _counted_sequence():
+    """A fresh rolled sequence t(0) = 1, t(n) = n t(n-1) + 1, and the list of
+    indices its step has been called at."""
+    steps = []
+
+    @rolled(1)
+    def term(prev, n):
+        steps.append(n)
+        return n * prev + 1
+
+    return term, steps
+
+
+COLD = [1]
+for _n in range(1, 151):
+    COLD.append(_n * COLD[-1] + 1)
+
+
+class TestRolled:
+    @pytest.mark.parametrize("order", sorted(ROW_ORDERS))
+    def test_reads_above_the_memo_match_a_cold_build(self, order):
+        term, _ = _counted_sequence()
+        for n in ROW_ORDERS[order]:
+            assert term(n) == COLD[n], n
+            assert list(term.cursor) == [n]
+        assert term.terms == dict(enumerate(COLD[: MEMO_ROWS + 1]))
+
+    def test_ascending_reads_cost_one_step_per_index(self):
+        term, steps = _counted_sequence()
+        for n in range(151):
+            term(n)
+        assert steps == list(range(1, 151))
+        term(100)  # below the cursor: rolls on from the last stored term
+        assert steps[150:] == list(range(MEMO_ROWS + 1, 101))
+
+    def test_negative_index_is_rejected(self):
+        term, steps = _counted_sequence()
+        with pytest.raises(ValueError):
+            term(-1)
+        assert steps == []

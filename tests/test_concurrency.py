@@ -1,10 +1,11 @@
 """Memoized tables must look compute-once to concurrent readers."""
 
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from fubini import bernoulli_numbers, polynomials
+from fubini import bernoulli_numbers
 from fubini.apostol import apostol_bernoulli
 from fubini.bernoulli_numbers import bernoulli, bernoulli_recurrence, p_bernoulli
 from fubini.combinat import MEMO_ROWS, stirling1_row, stirling2, stirling2_row
@@ -12,15 +13,23 @@ from fubini.polynomials import fubini_poly, fubini_poly_recurrence, fubini_two_v
 
 from oracles import p_bernoulli_ref
 
-# Indices above the Stirling memo.  Their rows are rolled forward from a
-# shared cursor, so threads asking for different ones move it back and forth;
-# a single second-kind entry there is an explicit sum that builds no row.
+# Indices above MEMO_ROWS.  The Stirling rows, the tangent-number columns and
+# both recurrences are rolled forward from one shared cursor each, so threads
+# asking for different indices move the cursors back and forth; a single
+# second-kind entry there is an explicit sum that builds no row.
 HIGH = [MEMO_ROWS + 1 + 13 * i for i in range(4)]
 
 
 def _read_all(seed: int) -> dict:
     n = HIGH[seed % len(HIGH)]
     return {
+        # Read first, so that cold threads race to roll the same terms.
+        "stored": [
+            stirling2_row(MEMO_ROWS),
+            stirling1_row(MEMO_ROWS),
+            fubini_poly_recurrence(MEMO_ROWS),
+            bernoulli_numbers._recurrence_numerators(MEMO_ROWS),
+        ],
         "s2": stirling2_row(120),
         "s1": stirling1_row(120),
         "bern": bernoulli(60),
@@ -32,16 +41,24 @@ def _read_all(seed: int) -> dict:
         "s1_high": stirling1_row(n),
         "s2_entries_high": [stirling2(n, k) for k in (0, 1, n // 2, n - 1, n)],
         "bern_high": bernoulli(n),
+        "fub_high": fubini_poly_recurrence(n),
+        "bern_rec_high": bernoulli_recurrence(n),
     }
 
 
-def test_concurrent_readers_see_single_threaded_values(monkeypatch):
+def test_concurrent_readers_see_single_threaded_values(monkeypatch, forget):
     expected = [_read_all(seed) for seed in range(len(HIGH))]
-    # The threads then build every Bernoulli number and every memoised F_n
-    # again, racing each other.
+    # The threads then build every Bernoulli number, every memoised F_n, the
+    # Stirling rows and both recurrences again, racing each other.
     monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
-    monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
-    monkeypatch.setattr(polynomials, "_poly_cache", {})
+    forget(
+        stirling2_row,
+        stirling1_row,
+        bernoulli_numbers._tangent_column,
+        bernoulli_numbers._recurrence_numerators,
+        fubini_poly,
+        fubini_poly_recurrence,
+    )
     for seed, values in enumerate(expected):
         assert values["bern_high"] == bernoulli_recurrence(HIGH[seed])
 
@@ -54,14 +71,16 @@ def test_concurrent_readers_see_single_threaded_values(monkeypatch):
         sys.setswitchinterval(interval)
     for seed, result in enumerate(results):
         assert result == expected[seed % len(HIGH)]
+        # A stored term is built once: every thread holds the same object.
+        assert all(map(operator.is_, result["stored"], results[0]["stored"])), seed
 
 
-def test_concurrent_high_bernoulli_numbers_are_computed_once(monkeypatch):
+def test_concurrent_high_bernoulli_numbers_are_computed_once(monkeypatch, forget):
     # Even indices above the memo extend one tangent-number column; threads
-    # asking in opposite orders make it restart from column 1.
+    # asking in opposite orders make it restart from the stored columns.
     indices = [MEMO_ROWS + 1 + 9 * i for i in range(12)]  # odd and even
     monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
-    monkeypatch.setattr(bernoulli_numbers, "_tangent_column", [1])
+    forget(bernoulli_numbers._tangent_column)
 
     def read(seed: int) -> list:
         order = indices if seed % 2 else indices[::-1]

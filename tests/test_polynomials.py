@@ -62,9 +62,14 @@ class TestFubiniPoly:
         for n in range(MEMO_ROWS + 1):
             assert fubini_poly(n) is fubini_poly(n)
 
+    def test_recurrence_keeps_terms_only_up_to_memo_rows(self):
+        assert fubini_poly_recurrence(MEMO_ROWS + 100) == fubini_poly(MEMO_ROWS + 100)
+        assert len(fubini_poly_recurrence.terms) <= MEMO_ROWS + 1
+        assert list(fubini_poly_recurrence.cursor) == [MEMO_ROWS + 100]
+
     def test_index_above_memo_rows_is_not_stored(self):
         assert fubini_poly(200).degree == 200
-        assert all(n <= MEMO_ROWS for n in polynomials._poly_cache)
+        assert all(n <= MEMO_ROWS for n in fubini_poly.memo)
 
     def test_even_indices_vanish_at_minus_half(self):
         for k in range(1, 11):
@@ -152,7 +157,7 @@ class TestTwoVariable:
         # F_k above MEMO_ROWS is rebuilt on each call, not memoised.
         for x, y in [(Fraction(3, 7), Fraction(-5, 4)), (Fraction(-2), Fraction(1, 9))]:
             assert fubini_two_var_eval(n, x, y) == fubini_two_var_eval_ref(n, x, y)
-        assert max(polynomials._poly_cache) <= MEMO_ROWS
+        assert max(fubini_poly.memo) <= MEMO_ROWS
 
     def test_negative_index_is_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +169,7 @@ class TestTwoVariable:
         second = fubini_two_var(MEMO_ROWS + 1)
         assert second == first and second is not first
         assert first.substitute_x(0) == fubini_poly(MEMO_ROWS + 1)
-        assert max(polynomials._two_var_cache) <= MEMO_ROWS
+        assert max(fubini_two_var.memo) <= MEMO_ROWS
 
     @pytest.mark.parametrize("x, y", [(0.5, 1), (1, 0.5)])
     def test_float_is_rejected(self, x, y):

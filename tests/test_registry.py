@@ -231,18 +231,18 @@ class TestVerifyAll:
 
 
 class TestStirlingFaults:
-    def test_wrong_stirling_entries_fail_eq26_and_eq32(self, monkeypatch):
+    def test_wrong_stirling_entries_fail_eq26_and_eq32(self, monkeypatch, forget):
         # Both entries read the Stirling sum as the integral of F_n, and
         # compare it with routes that read no Stirling row: eq26 with the
-        # tangent numbers, eq32 with the binomial recurrence.
-        fubini.combinat.stirling2_row(10)
-        rows = list(fubini.combinat._stirling2_rows)
+        # tangent numbers, eq32 with the binomial recurrence.  Every stored
+        # row is built first, so no row is rolled from a wrong one.
+        stirling2_row = fubini.combinat.stirling2_row
+        stirling2_row(fubini.combinat.MEMO_ROWS)
         for n in (7, 8):
-            row = list(rows[n])
+            row = list(stirling2_row.terms[n])
             row[3] += 1
-            rows[n] = tuple(row)
-        monkeypatch.setattr(fubini.combinat, "_stirling2_rows", rows)
-        monkeypatch.setattr(fubini.polynomials, "_poly_cache", {})
+            monkeypatch.setitem(stirling2_row.terms, n, tuple(row))
+        forget(fubini.polynomials.fubini_poly)
         monkeypatch.setattr(fubini.bernoulli_numbers, "_bernoulli_cache", {})
         monkeypatch.setattr(fubini.bernoulli_numbers, "_numerator_view", ((), 1))
         for identity in ("eq26_integral", "eq32_bernoulli"):
