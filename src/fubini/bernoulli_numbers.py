@@ -1,15 +1,15 @@
 """Bernoulli and p-Bernoulli numbers, and the Fubini integrals over [-1, 0].
 
 Convention: B_1 = -1/2, the value of the integral of F_1 over [-1, 0];
-odd-index values vanish from B_3 on.  ``bernoulli`` reads no Stirling row
-at any index: an odd-index B_n is 0 at once, and an even one comes from a
-tangent number.  The tangent numbers are the last entries of Knuth and
-Buckholtz's triangle (Math. Comp. 21, 1967), a ``combinat.rolled``
-sequence of columns, so ascending requests extend it by one column per
-index.  The binomial recurrence is rolled too, as one list of integer
-numerators over a common denominator.  ``bernoulli`` itself keeps every
-value it has built.  The two-index family B_{n,p} is computed from the
-first-kind Stirling relation and reduces to B_n at p = 0.  Integral
+odd-index values vanish from B_3 on.  B_n has two routes that read no
+Stirling row.  ``bernoulli`` gives an odd-index B_n as 0 at once and an
+even one from a tangent number; the tangent numbers are the last entries
+of Knuth and Buckholtz's triangle (Math. Comp. 21, 1967), a
+``combinat.rolled`` sequence of columns, so ascending requests extend it
+by one column per index.  ``bernoulli`` keeps every value it has built.
+The binomial recurrence is rolled too, as one list of integer numerators
+over a common denominator.  The two-index family B_{n,p} is computed from
+the first-kind Stirling relation and reduces to B_n at p = 0.  Integral
 identities pair an exact polynomial integral with an independent
 Bernoulli-sum route, returning both so callers can compare.
 
@@ -19,34 +19,29 @@ y^k p(y) over [-1, 0] (B_n as the integral of F_n, the moments of F_n,
 the product integrals of F_m F_n), and ``_bernoulli_combination`` sums
 weighted Bernoulli numbers (the p-Bernoulli numbers and every
 Bernoulli-sum side).  Each identity passes its own weights.  A window of
-indices up to MEMO_ROWS is one integer dot product of the weights with a
-memoised view of B_0..B_h as integer numerators over one common
-denominator, derived from ``bernoulli``'s values and grown to the highest
-index a weighted sum has read; a window above or across MEMO_ROWS sums
-over the lcm of its own denominators.
+indices up to MEMO_ROWS is one integer dot product of the weights with
+the recurrence's numerators, so B_{n,0} = B_n compares the two routes; a
+window above or across MEMO_ROWS sums ``bernoulli``'s values over the lcm
+of their denominators.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
 from .combinat import MEMO_ROWS, binomial, rolled, stirling1_row
-from .exact import Poly
+from .exact import Poly, _over_lcm
 from .polynomials import fubini_poly
 
-_lock = threading.Lock()
 _bernoulli_cache: dict[int, Fraction] = {}
-# B_0..B_h (h <= MEMO_ROWS) as (numerators, their common denominator),
-# replaced as one tuple whenever a weighted sum reads past its end.
-_numerator_view: tuple[tuple[int, ...], int] = ((), 1)
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n, computed once per index.
+    """B_n, kept at every index once built; threads that race to build it
+    all get the value published first.
 
     B_0 = 1, B_1 = -1/2, and B_n = 0 for odd n >= 3; for n = 2k >= 2
 
@@ -54,24 +49,21 @@ def bernoulli(n: int) -> Fraction:
 
     where T_k is the k-th tangent number (see ``_tangent_column``).
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
     value = _bernoulli_cache.get(n)
     if value is not None:
         return value
-    with _lock:
-        if n not in _bernoulli_cache:
-            if n == 0:
-                value = Fraction(1)
-            elif n % 2:
-                value = Fraction(-1, 2) if n == 1 else Fraction(0)
-            else:
-                k = n // 2
-                power = 4**k
-                tangent = _tangent_column(k - 1)[-1]
-                value = Fraction((-1) ** (k - 1) * n * tangent, power * (power - 1))
-            _bernoulli_cache[n] = value
-    return _bernoulli_cache[n]
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    if n == 0:
+        value = Fraction(1)
+    elif n % 2:
+        value = Fraction(-1, 2) if n == 1 else Fraction(0)
+    else:
+        k = n // 2
+        power = 4**k
+        tangent = _tangent_column(k - 1)[-1]
+        value = Fraction((-1) ** (k - 1) * n * tangent, power * (power - 1))
+    return _bernoulli_cache.setdefault(n, value)
 
 
 @rolled([1])
@@ -143,37 +135,20 @@ def bernoulli_binomial_sum(m: int, n: int) -> Fraction:
     return _bernoulli_combination([sign * binomial(m, j) for j in range(m + 1)], n)
 
 
-def _bernoulli_numerators(h: int) -> tuple[tuple[int, ...], int]:
-    """(nums, den) with B_i = nums[i] / den for i = 0..h at least, h <= MEMO_ROWS.
-
-    Built outside ``_lock``, which ``bernoulli`` takes; threads that race
-    here build equal views, and whichever is published last is kept.
-    """
-    global _numerator_view
-    view = _numerator_view
-    if len(view[0]) <= h:
-        values = [bernoulli(i) for i in range(h + 1)]
-        den = lcm(*[v.denominator for v in values])
-        view = tuple([v.numerator * (den // v.denominator) for v in values]), den
-        _numerator_view = view
-    return view
-
-
 def _bernoulli_combination(weights: Sequence[int], start: int, divisor: int = 1) -> Fraction:
     """sum_j weights[j] * B_{start+j} / divisor as one Fraction.
 
-    Up to MEMO_ROWS it is one dot product with the numerator view; a window
-    above or across it is one integer sum over the least common denominator
-    of the Bernoulli numbers involved.
+    Up to MEMO_ROWS it is one dot product with the binomial recurrence's
+    numerators; a window above or across it is one integer sum over the
+    least common denominator of ``bernoulli``'s values.
     """
     hi = start + len(weights) - 1
     if hi <= MEMO_ROWS:
-        nums, den = _bernoulli_numerators(hi)
-        return Fraction(sum(map(mul, weights, nums[start : hi + 1])), den * divisor)
-    values = [bernoulli(start + j) for j in range(len(weights))]
-    den = lcm(*[v.denominator for v in values])
-    num = sum(w * v.numerator * (den // v.denominator) for w, v in zip(weights, values))
-    return Fraction(num, den * divisor)
+        nums = _recurrence_numerators(hi)
+        window, den = nums[start : hi + 1], nums[0]
+    else:
+        window, den = _over_lcm(bernoulli(i) for i in range(start, hi + 1))
+    return Fraction(sum(map(mul, weights, window)), den * divisor)
 
 
 def fubini_moment_integral(k: int, n: int) -> tuple[Fraction, Fraction]:

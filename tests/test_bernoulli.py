@@ -177,16 +177,13 @@ class TestAboveTheMemo:
 
 
 # Weighted sums whose windows end below, at and above MEMO_ROWS: the first
-# two are dot products with the numerator view, the last crosses it (every
-# window has at least 6 entries) and sums over its own denominators.
+# two are dot products with the binomial recurrence's numerators, the last
+# crosses MEMO_ROWS (every window has at least 6 entries) and sums
+# ``bernoulli``'s values over their own denominators.
 WINDOW_ENDS = {"below": MEMO_ROWS - 20, "at": MEMO_ROWS, "crossing": MEMO_ROWS + 5}
 
 
 class TestNumeratorView:
-    @pytest.fixture
-    def empty_view(self, monkeypatch):
-        monkeypatch.setattr(bernoulli_numbers, "_numerator_view", ((), 1))
-
     @pytest.mark.parametrize("where", sorted(WINDOW_ENDS))
     @given(
         weights=st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=6, max_size=16),
@@ -199,22 +196,28 @@ class TestNumeratorView:
         ) / divisor
         assert bernoulli_numbers._bernoulli_combination(weights, start, divisor) == expected
 
-    def test_view_grows_to_the_highest_index_read(self, empty_view):
-        nums, den = bernoulli_numbers._bernoulli_numerators(3)
-        assert [Fraction(c, den) for c in nums] == [bernoulli(i) for i in range(4)]
-        nums, den = bernoulli_numbers._bernoulli_numerators(MEMO_ROWS)
-        assert len(nums) == MEMO_ROWS + 1
-        assert [Fraction(c, den) for c in nums] == [bernoulli(i) for i in range(MEMO_ROWS + 1)]
-        # A shorter request reads the view as it is.
-        assert bernoulli_numbers._bernoulli_numerators(3) is bernoulli_numbers._numerator_view
+    def test_windows_up_to_memo_rows_read_only_the_recurrence(self, monkeypatch, forget):
+        values = bernoulli_akiyama_tanigawa(MEMO_ROWS + 5)
+        weights = [3, -1, 4, -1, 5, -9, 2, 6]
 
-    def test_only_weighted_sums_build_the_view(self, empty_view):
-        bernoulli(40)
-        assert bernoulli_numbers._numerator_view == ((), 1)
-        p_bernoulli(20, 5)
-        assert len(bernoulli_numbers._numerator_view[0]) == 26
-        p_bernoulli(MEMO_ROWS, 5)  # above MEMO_ROWS: the view stays as it is
-        assert len(bernoulli_numbers._numerator_view[0]) == 26
+        def fraction_sum(start: int) -> Fraction:
+            return sum((w * values[start + j] for j, w in enumerate(weights)), Fraction(0)) / 7
+
+        def no_tangent_route(n):
+            raise RuntimeError(f"bernoulli({n}) read")
+
+        forget(bernoulli_numbers._recurrence_numerators)
+        crossing = MEMO_ROWS - 2
+        with monkeypatch.context() as patched:
+            patched.setattr(bernoulli_numbers, "bernoulli", no_tangent_route)
+            for start in (0, 5, MEMO_ROWS - len(weights) + 1):
+                combination = bernoulli_numbers._bernoulli_combination(weights, start, 7)
+                assert combination == fraction_sum(start), start
+            # A window across MEMO_ROWS reads ``bernoulli``'s values instead.
+            with pytest.raises(RuntimeError, match="read"):
+                bernoulli_numbers._bernoulli_combination(weights, crossing, 7)
+        combination = bernoulli_numbers._bernoulli_combination(weights, crossing, 7)
+        assert combination == fraction_sum(crossing)
 
 
 class TestIntegralKernel:

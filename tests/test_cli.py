@@ -145,6 +145,12 @@ OUTPUT_SHA256 = {
         "27ccee6e1c9e3e69615a572cca376c1a6f09c50ed8e2c1c280d44ce794f6448e",
         "e4a9e848f2ce00f77120afa4f78900c1c90136aaf0569db9a13316836f356ab4",
     ),
+    # Windows below, at and across MEMO_ROWS.
+    "table p-bernoulli --n-max 300 --p-max 12": (
+        "14fd9708bf77367433b25078ad2b8d5cf9772c8b23f68976bde6f1f98d9cb91f",
+        "8a323b2414d7381280ec769b73b3e655d11a35faa56751df40c6f3a548f0aa04",
+        "bedfe0731447ab74d5e6efab1edb3c9360b46e1f070ba13ce5532e720f8ad1b5",
+    ),
 }
 
 

@@ -3,7 +3,6 @@
 import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 from fubini import bernoulli_numbers
 from fubini.apostol import apostol_bernoulli
@@ -100,24 +99,19 @@ def test_concurrent_high_bernoulli_numbers_are_computed_once(monkeypatch, forget
         assert first == bernoulli_recurrence(n), n
 
 
-def test_concurrent_builds_of_the_numerator_view_see_single_threaded_values(monkeypatch):
-    # Each thread asks for a different top index, so the view is rebuilt
-    # and replaced while other threads read it; every B_n is cold too.
+def test_concurrent_weighted_sums_over_the_recurrence_see_single_threaded_values(forget):
+    # Each thread sums windows up to a different top index, so cold threads
+    # race to roll the recurrence's numerators to different lengths.
     tops = [3, 17, MEMO_ROWS // 2, MEMO_ROWS]
-    expected = [bernoulli(i) for i in range(MEMO_ROWS + 1)]
-    monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
-    monkeypatch.setattr(bernoulli_numbers, "_numerator_view", ((), 1))
+    forget(bernoulli_numbers._recurrence_numerators)
 
     def spots(h: int) -> list[tuple[int, int]]:
         return [(n, p) for n in range(h - 2, -1, -7) for p in (0, 1, 2)]
 
-    def read(seed: int) -> tuple[list, list]:
-        h = tops[seed % len(tops)]
-        nums, den = bernoulli_numbers._bernoulli_numerators(h)
-        sums = [p_bernoulli(n, p) for n, p in spots(h)]
-        return [Fraction(c, den) for c in nums[: h + 1]], sums
+    def read(seed: int) -> list:
+        return [p_bernoulli(n, p) for n, p in spots(tops[seed % len(tops)])]
 
-    singles = [(expected[: h + 1], [p_bernoulli_ref(n, p) for n, p in spots(h)]) for h in tops]
+    singles = [[p_bernoulli_ref(n, p) for n, p in spots(h)] for h in tops]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -134,3 +128,4 @@ def test_cached_values_are_shared_not_recomputed():
     assert fubini_poly_recurrence(30) is fubini_poly_recurrence(30)
     assert fubini_poly(30) is fubini_poly(30)
     assert apostol_bernoulli(12) is apostol_bernoulli(12)
+    assert bernoulli(40) is bernoulli(40)

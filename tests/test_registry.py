@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +31,8 @@ REQUIRED_IDS = [
     "ab_product_integral", "stirling_inverse", "stirling_cross",
 ]
 
-DOC = Path(__file__).resolve().parent.parent / "docs" / "identities.md"
+REPO = Path(__file__).resolve().parent.parent
+DOC = REPO / "docs" / "identities.md"
 
 CORRECTED_IDS = {
     "eq24_corrected_split", "pb_odd_explicit", "pb_even_explicit",
@@ -244,10 +248,52 @@ class TestStirlingFaults:
             monkeypatch.setitem(stirling2_row.terms, n, tuple(row))
         forget(fubini.polynomials.fubini_poly)
         monkeypatch.setattr(fubini.bernoulli_numbers, "_bernoulli_cache", {})
-        monkeypatch.setattr(fubini.bernoulli_numbers, "_numerator_view", ((), 1))
         for identity in ("eq26_integral", "eq32_bernoulli"):
             reports = rg.verify(identity, profile="full")
             assert {r.params["n"] for r in reports if r.status == rg.FAIL} == {7, 8}, identity
+
+
+class TestBernoulliFaults:
+    # The Bernoulli sums read the binomial recurrence up to MEMO_ROWS, and
+    # B_{n,0} = B_n compares them with the tangent route, as eq26 compares
+    # the integral of F_n with it, so a wrong B_n in either route fails at
+    # least two entries.
+    def test_wrong_tangent_value_fails_eq26_and_pb_zero_at_n_10(self):
+        # In a fresh interpreter, so that no store holds a value built from
+        # B_10 before it is corrupted.
+        probe = (
+            "from fubini import bernoulli_numbers as bn, registry as rg\n"
+            "for n in range(bn.MEMO_ROWS + 1):\n"
+            "    bn.bernoulli(n)\n"
+            "bn._bernoulli_cache[10] += 1\n"
+            "for identity in ('eq26_integral', 'pb_relation'):\n"
+            "    reports = rg.verify(identity, profile='full')\n"
+            "    print(identity, [r.params for r in reports if r.status == rg.FAIL])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=REPO
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "eq26_integral [{'n': 10}]",
+            "pb_relation [{'n': 10}]",
+        ]
+
+    def test_wrong_recurrence_value_fails_eq32_and_the_bernoulli_sums(self, forget):
+        # forget puts the stored terms back whole when the test ends.
+        numerators = fubini.bernoulli_numbers._recurrence_numerators
+        forget(numerators)
+        numerators(MEMO_ROWS)
+        for m in range(10, MEMO_ROWS + 1):
+            nums = numerators.terms[m]
+            numerators.terms[m] = [*nums[:10], nums[10] + nums[0], *nums[11:]]
+        run = rg.verify_all("full")
+        assert {r.identity for r in run.reports if r.status == rg.FAIL} == {
+            "eq25_moment", "eq28_parity", "eq30_product_integral", "eq32_bernoulli",
+            "double_sum", "pb_relation", "pb_odd_explicit", "pb_even_explicit",
+            "ab_moment_integral", "ab_product_integral",
+        }
 
 
 class TestCatalogDocument:
