@@ -30,13 +30,11 @@ Reports are deterministic: cases are emitted in sorted order of
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import apostol as ap
 from . import bernoulli_numbers as bn
@@ -67,8 +65,7 @@ FAIL = "fail"
 SKIP = "skipped-precondition"
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Grid bounds for one entry; zero fields are unused by that entry."""
 
     n_max: int = 0
@@ -81,11 +78,10 @@ class Bounds:
 
     def used(self) -> frozenset[str]:
         """Names of the non-zero fields."""
-        return frozenset(f.name for f in dataclasses.fields(self) if getattr(self, f.name))
+        return frozenset(name for name, value in zip(self._fields, self) if value)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Outcome of evaluating one case: both sides plus the comparison mode."""
 
     mode: str  # "eq", "ne", "abs", "rel" or "skip"
@@ -101,8 +97,7 @@ class Check:
 Evaluator = Callable[[dict], Check]
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class _EntryFields(NamedTuple):
     identity_id: str
     statement: str
     quick: Bounds
@@ -112,11 +107,17 @@ class RegistryEntry:
     erratum: str = ""
     aux_label: str = ""
 
-    def __post_init__(self) -> None:
+
+class RegistryEntry(_EntryFields):
+    __slots__ = ()  # no instance dict, so an entry stays as immutable as its fields
+
+    def __new__(cls, *args, **kwargs) -> RegistryEntry:
+        self = super().__new__(cls, *args, **kwargs)
         if bool(self.witnesses) != bool(self.erratum):
             raise ValueError(f"{self.identity_id}: witnesses and an erratum go together")
         if ("aux_max" in self.bounds_used) != bool(self.aux_label):
             raise ValueError(f"{self.identity_id}: an aux_max bound and its label go together")
+        return self
 
     @property
     def corrected(self) -> bool:
@@ -138,8 +139,7 @@ class RegistryEntry:
         return [params for params, _ in self.checks(bounds)]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity: str
     params: dict
     status: str
@@ -1043,7 +1043,7 @@ def _apply_overrides(entry: RegistryEntry, bounds: Bounds, overrides: Optional[d
         raise ValueError(
             f"samples must be between 1 and {len(SAMPLE_GRID)}, got {samples}"
         )
-    return dataclasses.replace(bounds, **valid)
+    return bounds._replace(**valid)
 
 
 def verify(
@@ -1087,8 +1087,7 @@ def verify(
     return reports
 
 
-@dataclass(frozen=True)
-class VerificationRun:
+class VerificationRun(NamedTuple):
     profile: str
     reports: tuple[IdentityReport, ...]
 

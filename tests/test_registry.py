@@ -1,8 +1,9 @@
 """Identity catalog behavior: contents, determinism, fault sensitivity."""
 
-import dataclasses
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -102,7 +103,7 @@ class TestCatalogContents:
     )
     def test_entry_data_must_pair_up(self, identity, field, value):
         with pytest.raises(ValueError, match="go together"):
-            dataclasses.replace(rg.REGISTRY[identity], **{field: value})
+            rg.RegistryEntry(**{**rg.REGISTRY[identity]._asdict(), field: value})
 
 
 class TestVerify:
@@ -311,7 +312,8 @@ class TestCatalogDocument:
     def test_agreeing_uncorrected_variant_fails_the_catalog(self, monkeypatch, capsys):
         entry = rg.REGISTRY["stirling_cross"]
         ((params, _),) = entry.witnesses
-        agreeing = dataclasses.replace(entry, witnesses=((params, lambda p: rg.Check("ne", 1, 1)),))
+        witnesses = ((params, lambda p: rg.Check("ne", 1, 1)),)
+        agreeing = rg.RegistryEntry(**{**entry._asdict(), "witnesses": witnesses})
         monkeypatch.setitem(rg.REGISTRY, "stirling_cross", agreeing)
         assert cli.main(["catalog"]) == 1
         out, err = capsys.readouterr()
@@ -322,6 +324,44 @@ class TestCatalogDocument:
         with pytest.raises(SystemExit) as exc:
             cli.main(["catalog", "--format", "json"])
         assert exc.value.code == 2
+
+
+class TestRecords:
+    def test_records_are_frozen(self):
+        entry = rg.REGISTRY["eq26_integral"]
+        report = rg.verify("eq26_integral", profile="quick")[0]
+        run = rg.VerificationRun("quick", (report,))
+        records = [
+            (entry.quick, "n_max"), (rg.Check.skip(), "mode"), (report, "status"),
+            (run, "profile"), (entry, "erratum"),
+        ]
+        for record, field in records:
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 1)
+
+    def test_reports_survive_pickle_and_copy(self):
+        for value in (rg.verify("eq26_integral", profile="quick"), rg.verify_all("quick")):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert twin == value
+                assert repr(twin) == repr(value)  # the same record classes, too
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Compared with the modules loaded before the import, so that one a
+        # site hook already loaded does not count.
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import fubini, fubini.cli\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in added))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=REPO
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
 
 
 class TestSerialization:
