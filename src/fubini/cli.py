@@ -132,7 +132,10 @@ def cmd_table(args) -> int:
         if args.p_max is not None:
             raise UsageError(f"--p-max does not apply to {family}")
         (n_max,) = _require(args, "n_max")
-        value = bn.bernoulli if family == "bernoulli" else fp.fubini_number
+        # An ascending Fubini table rolls one Stirling row per index through
+        # F_n(1); fubini_number's power sum above MEMO_ROWS would redo n
+        # powers at every index.
+        value = bn.bernoulli if family == "bernoulli" else lambda n: fp.fubini_poly(n)(1)
         columns = ["n", "value"]
         rows = [[str(n), format_rational(value(n))] for n in range(n_max + 1)]
     if not rows:

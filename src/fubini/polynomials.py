@@ -3,20 +3,26 @@
 The polynomial of index n is F_n(y) = sum_k S2(n,k) * k! * y^k; its value
 at y = 1 counts ordered set partitions of an n-element set.  This module
 builds the family by several independent routes (triangle sum, derivative
-recurrence, reflection form, split form) plus the two-variable extension
-F_n(x;y) = sum_k C(n,k) * F_k(y) * x^(n-k).  Route agreement is what the
-identity catalog checks; each route is kept self-contained here.
+recurrence, reflection form, split form, power sum) plus the two-variable
+extension F_n(x;y) = sum_k C(n,k) * F_k(y) * x^(n-k).  Route agreement is
+what the identity catalog checks; each route is kept self-contained here.
 
 Only ``fubini_poly`` multiplies a Stirling row by k!; the other routes
 here, in ``apostol`` and in ``bernoulli_numbers`` read S2(n,k) k! as its
-coefficients.  F_n and F_n(x;y) are ``combinat.memo_rows`` memos and
-the derivative recurrence is a ``combinat.rolled`` sequence: each keeps
-its values up to MEMO_ROWS, and above it F_n and F_n(x;y) are rebuilt on
-each call while the recurrence keeps one cursor.  The point evaluators
-sum integer numerators over one common denominator and build one
-Fraction per call instead of several per term: the split form at
-y = c/d over d^n (2c+d)^(n+1), the two-variable convolution at
-(a/b, c/d) over (bd)^n.
+coefficients, except the power sum, which reads no Stirling number:
+``fubini_two_var_eval`` sums F_n(x;y) = sum_i (x+i)^n W_i(y) in O(n)
+big-integer steps, while the BiPoly ``fubini_two_var`` keeps the
+convolution.  ``fubini_number`` reads that sum at (0, 1) above MEMO_ROWS
+and F_n(1) up to it; ``table fubini`` in the CLI reads F_n(1) at every
+index, since an ascending table rolls one Stirling row per index.
+
+F_n and F_n(x;y) are ``combinat.memo_rows`` memos and the derivative
+recurrence is a ``combinat.rolled`` sequence: each keeps its values up to
+MEMO_ROWS, and above it F_n and F_n(x;y) are rebuilt on each call while
+the recurrence keeps one cursor.  The point evaluators sum integer
+numerators over one common denominator and build one Fraction per call
+instead of several per term: the split form at y = c/d over
+d^n (2c+d)^(n+1), the power sum at (a/b, c/d) over (bd)^n (c+d)^(n+1).
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .combinat import binomial, memo_rows, rolled, stirling2_row
-from .exact import BiPoly, Poly, Scalar, _exact, _horner
+from .combinat import MEMO_ROWS, binomial, memo_rows, rolled, stirling2_row
+from .exact import BiPoly, Poly, Scalar, _exact
 
 BRUTEFORCE_CAP = 10
 
@@ -47,9 +53,14 @@ def fubini_poly_recurrence(prev: Poly, n: int) -> Poly:
 
 
 def fubini_number(n: int) -> int:
-    """The n-th Fubini number F_n = F_n(1)."""
-    value = fubini_poly(n)(1)
-    return value.numerator
+    """The n-th Fubini number F_n = F_n(1).
+
+    Up to MEMO_ROWS it is read from the memoised F_n; above, from the
+    power sum of ``fubini_two_var_eval`` at (0, 1), which builds no row.
+    """
+    if n > MEMO_ROWS:
+        return fubini_two_var_eval(n, 0, 1).numerator
+    return fubini_poly(n)(1).numerator
 
 
 def ordered_partition_block_counts(n: int) -> tuple[int, ...]:
@@ -92,24 +103,39 @@ def fubini_two_var(n: int) -> BiPoly:
 
 
 def fubini_two_var_eval(n: int, x: Scalar, y: Scalar) -> Fraction:
-    """F_n(x;y) at a rational point, via the binomial convolution directly."""
+    """F_n(x;y) at a rational point, via the power-sum form
+
+    F_n(x;y) = sum_{i=0}^{n} (x+i)^n W_i(y),
+    W_i(y) = sum_{j=i}^{n} (-1)^(j-i) C(j,i) y^j,
+
+    which k! S2(k,j) = sum_i (-1)^(j-i) C(j,i) i^k gives from the
+    convolution; it reads no Stirling row and no F_k.
+    """
     if n < 0:
         raise ValueError("index must be non-negative")
     xv, yv = _exact(x), _exact(y)
     a, b = xv.numerator, xv.denominator
     c, d = yv.numerator, yv.denominator
-    # F_k has degree k, so _horner gives H_k = F_k(c/d) d^k.  Over (bd)^n
-    # term k is C(n,k) H_k b^k (ad)^(n-k); the sum runs as a Horner scheme
-    # in ad.
-    ad = a * d
-    total, b_k, choose = 0, 1, 1
-    for k in range(n + 1):
-        h_k = _horner(fubini_poly(k).numerators, c, d)[0]
-        total = total * ad + choose * h_k * b_k
-        b_k *= b
-        # C(n, k+1) = C(n, k) (n-k) / (k+1), exact at every step.
-        choose = choose * (n - k) // (k + 1)
-    return Fraction(total, (b * d) ** n)
+    e = c + d  # 1 + y = e/d
+    if e == 0:
+        # F_k(-1) = (-1)^k, so the convolution is a binomial expansion.
+        return Fraction((a - b) ** n, b**n)
+    # W_i = (-1)^i tau_i / (d^n e^(i+1)), where (1+y) W_i = y W_(i-1) +
+    # (-1)^(n-i) C(n+1,i) y^(n+1) gives tau_0 = d^(n+1) - (-c)^(n+1) and
+    # tau_i = -c tau_(i-1) - C(n+1,i) (-c)^(n+1) e^i.  Over (bd)^n e^(n+1)
+    # term i is (-1)^i (a+ib)^n tau_i e^(n-i); the sum runs as a Horner
+    # scheme in e.
+    lead = (-c) ** (n + 1)
+    tau, tail = d ** (n + 1) - lead, lead
+    total = 0
+    for i in range(n + 1):
+        if i:
+            # C(n+1,i) = C(n+1,i-1) (n+2-i) / i, exact at every step.
+            tail = tail * e * (n + 2 - i) // i
+            tau = -c * tau - tail
+        term = (a + i * b) ** n * tau
+        total = total * e + (-term if i % 2 else term)
+    return Fraction(total, (b * d) ** n * e ** (n + 1))
 
 
 def fubini_reflection_form(n: int) -> Poly:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fubini import cli
+from fubini.exact import Poly
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -28,7 +29,7 @@ QUICK_REPORT_SHA256 = "c75767630cdafb6175acbe4b12ff370392b9732f054f22497410b2765
 # For `verify`, elapsed_us is removed first: from each json report, and as
 # the last csv column (the digest is then taken of the remaining rows as
 # JSON).  Pins every compute object, with --at where it applies, and the
-# Bernoulli queries whose indices pass combinat.MEMO_ROWS.
+# Bernoulli and Fubini queries whose indices pass combinat.MEMO_ROWS.
 OUTPUT_SHA256 = {
     "compute stirling1 --n 12 --k 5": (
         "a86dee65a2ca647acb73887ad92150e48b1bc15d8ba62b36ea39ac4ad17e02db",
@@ -59,6 +60,12 @@ OUTPUT_SHA256 = {
         "c45d3d76aa9056db6b384b474f727b074a6abd2015f699cf6e4062f74087f14a",
         "70e3303c439ce3782e9b431933d23fe0faea19f541f65ac324e1cacfad8d18b9",
         "8f3f94f9500e3a0dbc172890189cfa4f189d66184dd061727c73072d968ba0a9",
+    ),
+    # Above MEMO_ROWS: the power sum of fubini_number.
+    "compute fubini-number --n 1000": (
+        "e699f3ca3926975ffb93217ce373b88f7eb3153597cf94991d1308aab99a578c",
+        "a3b80df8505188179194ced9fe4a45f877773e7c64b2cbfb3d4136a6df49c189",
+        "ee765cab50687751defa5ee48144fc7438008248593ae2e46b0d1a5eaefecd5e",
     ),
     "compute fubini-poly --n 12": (
         "e953749c5c80d63f91f4888cf27b37090c4f90ceb96219aea6a36b232c0258e2",
@@ -139,6 +146,12 @@ OUTPUT_SHA256 = {
         "e4bdab7b539c667f8eacbe5ba121b86b46bd33332c3c88453d38c3ac841088d9",
         "f0dc74db82a929430b05da48a6141926a741a59ae3f638755c6e622b027f4789",
         "28f2235559f9479c12e50c9c9662c61011b007cd699065e29a45155be31ccd33",
+    ),
+    # Rolled Stirling rows, below and across MEMO_ROWS.
+    "table fubini --n-max 200": (
+        "b6312043efc1f90e8615c2139c0ea74b50a0b5b3174614e31bee34de295331d1",
+        "5fa9056258e374b82fc8bc1b937e59bcdc8a25fb29830ccde17ee5876c36d787",
+        "928dc8c3f1e7e048f94d7d58ea2a7f00fe8352ced0bd5807a1b2c0fce8907e80",
     ),
     "table p-bernoulli --n-max 6 --p-max 3": (
         "f0018e1f47a09a93797ee66e30e5a5020c5b2cbaca806f0861f8cc14fc7663b8",
@@ -296,6 +309,18 @@ class TestTable:
     def test_fubini_table(self):
         code, out, _ = run_cli("table", "fubini", "--n-max", "5")
         assert out.splitlines()[-1] == "5,541"
+
+    def test_fubini_table_rolls_the_rows_above_memo_rows(self, monkeypatch):
+        # An ascending table steps one Stirling row per index; the power sum
+        # behind fubini_number would redo n powers at every index.
+        expected = [str(cli.fp.fubini_number(n)) for n in range(71)]
+
+        def refuse(*args):
+            raise AssertionError("table fubini read the power sum")
+
+        monkeypatch.setattr(cli.fp, "fubini_two_var_eval", refuse)
+        out = _main_output(["table", "fubini", "--n-max", "70", "--format", "json"])
+        assert json.loads(out)["rows"] == [[str(n), v] for n, v in enumerate(expected)]
 
     def test_p_bernoulli_table_requires_p_max(self):
         code, _, _ = run_cli("table", "p-bernoulli", "--n-max", "3")
@@ -667,7 +692,7 @@ class TestValuesBeyondTheDigitLimit:
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_table_prints_huge_values(self, family, fmt, monkeypatch):
         monkeypatch.setattr(cli.bn, "bernoulli", lambda n: Fraction(HUGE_NUM, HUGE_DEN))
-        monkeypatch.setattr(cli.fp, "fubini_number", lambda n: HUGE_NUM)
+        monkeypatch.setattr(cli.fp, "fubini_poly", lambda n: Poly.constant(HUGE_NUM))
         out = _main_output(["table", family, "--n-max", "2", "--format", fmt])
         expected = HUGE_TEXT if family == "bernoulli" else HUGE_NUM_TEXT
         assert _only_value(out, fmt) == expected

@@ -33,6 +33,17 @@ FUBINI_NUMBERS = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563]
 
 small_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
+# x = 0, y at -1 (where 1 + y = 0), 0, -1/2 and 1, a y with 1 + y < 0, int
+# arguments, and fractions written unreduced.
+SPECIAL_POINTS = [
+    *((x, y) for x in (0, Fraction(-7, 5)) for y in (-1, 0, Fraction(-1, 2), 1)),
+    (0, Fraction(3, 8)),
+    (Fraction(2, 9), Fraction(-5, 3)),
+    (3, -2),
+    (Fraction(10, 4), Fraction(-6, 9)),
+    (Fraction(-12, 8), Fraction(15, 5)),
+]
+
 
 class TestFubiniPoly:
     def test_first_polynomials(self):
@@ -83,6 +94,10 @@ class TestFubiniPoly:
 class TestFubiniNumbers:
     def test_frozen_values(self):
         assert [fubini_number(n) for n in range(11)] == FUBINI_NUMBERS
+
+    def test_power_sum_above_memo_rows_matches_the_row_route(self):
+        for n in range(MEMO_ROWS, 151):
+            assert fubini_number(n) == fubini_poly(n)(1).numerator, n
 
     @pytest.mark.parametrize("n", range(11))
     def test_bruteforce_agrees(self, n):
@@ -152,9 +167,33 @@ class TestTwoVariable:
         x, y = Fraction(a, b), Fraction(c, d)
         assert fubini_two_var_eval(n, x, y) == fubini_two_var_eval_ref(n, x, y)
 
+    @pytest.mark.parametrize("n", range(MEMO_ROWS + 17))
+    def test_power_sum_matches_bipoly_at_special_points(self, n):
+        two_var = fubini_two_var(n)
+        for x, y in SPECIAL_POINTS:
+            assert fubini_two_var_eval(n, x, y) == two_var(x, y), (x, y)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, MEMO_ROWS, MEMO_ROWS + 16])
+    def test_power_sum_matches_fraction_reference_at_special_points(self, n):
+        for x, y in SPECIAL_POINTS:
+            assert fubini_two_var_eval(n, x, y) == fubini_two_var_eval_ref(n, x, y), (x, y)
+
+    def test_power_sum_reads_no_fubini_poly_and_no_stirling_row(self, monkeypatch):
+        n = MEMO_ROWS + 1
+        expected = [fubini_two_var_eval(n, x, y) for x, y in SPECIAL_POINTS]
+        number = fubini_number(n)
+
+        def refuse(*args):
+            raise AssertionError("the power sum read a Stirling row or an F_k")
+
+        monkeypatch.setattr(polynomials, "fubini_poly", refuse)
+        monkeypatch.setattr(polynomials, "stirling2_row", refuse)
+        assert [fubini_two_var_eval(n, x, y) for x, y in SPECIAL_POINTS] == expected
+        assert fubini_number(n) == number
+
     @pytest.mark.parametrize("n", [40, MEMO_ROWS + 6])
     def test_large_index_matches_fraction_reference(self, n):
-        # F_k above MEMO_ROWS is rebuilt on each call, not memoised.
+        # The power sum reads no F_k, and the reference memoises nothing.
         for x, y in [(Fraction(3, 7), Fraction(-5, 4)), (Fraction(-2), Fraction(1, 9))]:
             assert fubini_two_var_eval(n, x, y) == fubini_two_var_eval_ref(n, x, y)
         assert max(fubini_poly.memo) <= MEMO_ROWS
