@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -213,17 +214,13 @@ def cmd_verify_all(args) -> int:
     elif args.format == "csv":
         _emit_reports_csv(run.reports)
     else:
-        by_identity: dict[str, list] = {}
-        for r in run.reports:
-            by_identity.setdefault(r.identity, []).append(r)
-        for identity in sorted(by_identity):
-            group = by_identity[identity]
+        for identity, group in itertools.groupby(run.reports, key=lambda r: r.identity):
             counts = rg.VerificationRun(run.profile, tuple(group))
             print(
                 f"{identity:<26} pass={counts.passed:>5}"
                 f" fail={counts.failed:>3} skip={counts.skipped:>3}"
             )
-            for r in group:
+            for r in counts.reports:
                 if r.status == rg.FAIL:
                     print(f"  FAIL {_params_plain(r.params)} lhs={r.lhs} rhs={r.rhs}")
         print(

@@ -140,12 +140,23 @@ class RegistryEntry(_EntryFields):
 
 
 class IdentityReport(NamedTuple):
+    """One evaluated case.  ``check`` is the ``Check`` it was judged on;
+    ``lhs`` and ``rhs`` render its sides exactly when read, so output
+    that prints only failed cases renders only those."""
+
     identity: str
     params: dict
     status: str
-    lhs: str
-    rhs: str
+    check: Check
     elapsed_us: int
+
+    @property
+    def lhs(self) -> str:
+        return serialize_value(self.check.lhs)
+
+    @property
+    def rhs(self) -> str:
+        return serialize_value(self.check.rhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,8 +192,6 @@ def serialize_value(value) -> str:
     """Exact string form of any value a check can produce."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     cell = value_json(value)
@@ -375,7 +384,8 @@ def _eval_eq13_general(p: dict) -> Check:
         for k in range(n + 1)
     )
     s = x1 + x2 - 1
-    rhs = fp.fubini_two_var_eval(n + 1, s, y) - s * fp.fubini_two_var_eval(n, s, y)
+    # The BiPoly route, so that the two sides share no formula.
+    rhs = fp.fubini_two_var(n + 1)(s, y) - s * fp.fubini_two_var(n)(s, y)
     return Check("eq", lhs, rhs)
 
 
@@ -1053,6 +1063,9 @@ def verify(
 ) -> list[IdentityReport]:
     """Run one identity over its parameter grid; reports in sorted order.
 
+    Each report keeps the ``Check`` its case was judged on and renders
+    ``lhs`` and ``rhs`` only when they are read.
+
     Raises ValueError when an override names a bound the entry does not
     read, or when the bounds select no case, so that a run can never pass
     without checking anything.
@@ -1074,16 +1087,7 @@ def verify(
         check = evaluate(params)
         status = run_check(check)
         elapsed_us = (time.perf_counter_ns() - start) // 1000
-        reports.append(
-            IdentityReport(
-                identity=identity_id,
-                params=params,
-                status=status,
-                lhs=serialize_value(check.lhs),
-                rhs=serialize_value(check.rhs),
-                elapsed_us=elapsed_us,
-            )
-        )
+        reports.append(IdentityReport(identity_id, params, status, check, elapsed_us))
     return reports
 
 
@@ -1126,7 +1130,8 @@ class VerificationRun(NamedTuple):
 
 
 def verify_all(profile: str) -> VerificationRun:
-    """Run every registry entry on its default grid for the given profile."""
+    """Run every registry entry on its default grid for the given profile;
+    reports in sorted order of (identity, params)."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     reports: list[IdentityReport] = []

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fubini import cli
+from fubini import registry as rg
 from fubini.exact import Poly
 
 REPO = Path(__file__).resolve().parent.parent
@@ -441,6 +442,20 @@ class TestVerifyCommands:
         assert proc.returncode == 0, proc.stderr
         assert "ab_quadrature_oracle: 6 cases, 0 failed" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "eq11_recurrence"], ["verify-all", "--profile", "quick"]]
+    )
+    def test_plain_output_renders_no_passed_case(self, argv, monkeypatch):
+        # Plain output prints a case's sides only when it failed, so a run
+        # without failures never turns a value into text.
+        expected = _main_output(argv)
+
+        def refuse(value):
+            raise AssertionError("a passed case was rendered")
+
+        monkeypatch.setattr(rg, "serialize_value", refuse)
+        assert _main_output(argv) == expected
 
     def test_full_report_digest(self):
         code, out, _ = run_cli("verify-all", "--profile", "full", "--format", "json")

@@ -236,22 +236,42 @@ class TestVerifyAll:
 
 
 class TestStirlingFaults:
-    def test_wrong_stirling_entries_fail_eq26_and_eq32(self, monkeypatch, forget):
-        # Both entries read the Stirling sum as the integral of F_n, and
-        # compare it with routes that read no Stirling row: eq26 with the
-        # tangent numbers, eq32 with the binomial recurrence.  Every stored
-        # row is built first, so no row is rolled from a wrong one.
+    @pytest.fixture
+    def wrong_rows(self, monkeypatch, forget):
+        """S2(7,3) and S2(8,3) one too large.  Every stored row is built
+        first, so no row is rolled from a wrong one."""
         stirling2_row = fubini.combinat.stirling2_row
         stirling2_row(fubini.combinat.MEMO_ROWS)
         for n in (7, 8):
             row = list(stirling2_row.terms[n])
             row[3] += 1
             monkeypatch.setitem(stirling2_row.terms, n, tuple(row))
-        forget(fubini.polynomials.fubini_poly)
+        forget(fubini.polynomials.fubini_poly, fubini.polynomials.fubini_two_var)
         monkeypatch.setattr(fubini.bernoulli_numbers, "_bernoulli_cache", {})
+
+    def test_wrong_stirling_entries_fail_eq26_and_eq32(self, wrong_rows):
+        # Both entries read the Stirling sum as the integral of F_n, and
+        # compare it with routes that read no Stirling row: eq26 with the
+        # tangent numbers, eq32 with the binomial recurrence.
         for identity in ("eq26_integral", "eq32_bernoulli"):
             reports = rg.verify(identity, profile="full")
             assert {r.params["n"] for r in reports if r.status == rg.FAIL} == {7, 8}, identity
+
+    def test_wrong_stirling_entries_fail_eq13_general_xy_from_n_6(self, wrong_rows):
+        # The right side reads the BiPoly F_{n+1}(x;y), whose rows hold F_7
+        # and F_8 from n = 6 on; the left side is the power sum, which reads
+        # no Stirling row.
+        reports = rg.verify("eq13_general_xy", profile="full")
+        assert {r.params["n"] for r in reports if r.status == rg.FAIL} == set(range(6, 16))
+
+    def test_plain_output_prints_both_sides_of_a_failed_case(self, wrong_rows, capsys):
+        # The integral of F_n gains 3! * (-1/4) at n = 7 and 8.
+        assert cli.main(["verify", "eq26_integral", "--profile", "full"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("fail")]
+        assert fails == [
+            f"{rg.FAIL:<21} eq26_integral n=7  lhs=-3/2 rhs=0",
+            f"{rg.FAIL:<21} eq26_integral n=8  lhs=-23/15 rhs=-1/30",
+        ]
 
 
 class TestBernoulliFaults:
@@ -385,3 +405,4 @@ class TestSerialization:
         assert doc["params"] == {"n": 1}
         assert doc["status"] == "pass"
         assert doc["lhs"] == "-1/2"
+        assert report.lhs == rg.serialize_value(report.check.lhs)
