@@ -133,10 +133,12 @@ def cmd_table(args) -> int:
         if args.p_max is not None:
             raise UsageError(f"--p-max does not apply to {family}")
         (n_max,) = _require(args, "n_max")
-        # An ascending Fubini table rolls one Stirling row per index through
-        # F_n(1); fubini_number's power sum above MEMO_ROWS would redo n
-        # powers at every index.
-        value = bn.bernoulli if family == "bernoulli" else lambda n: fp.fubini_poly(n)(1)
+        # An ascending table extends one column per index: the Fubini table
+        # rolls one Stirling row per index through F_n(1), and the Bernoulli
+        # table one tangent column.  Above MEMO_ROWS, fubini_number's power
+        # sum would redo n powers and bernoulli's zeta route a whole Euler
+        # product at every index.
+        value = bn.bernoulli_tangent if family == "bernoulli" else lambda n: fp.fubini_poly(n)(1)
         columns = ["n", "value"]
         rows = [[str(n), format_rational(value(n))] for n in range(n_max + 1)]
     if not rows:

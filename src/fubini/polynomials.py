@@ -63,15 +63,16 @@ def fubini_number(n: int) -> int:
     return fubini_poly(n)(1).numerator
 
 
+@memo_rows
 def ordered_partition_block_counts(n: int) -> tuple[int, ...]:
     """Count ordered set partitions of an n-set by block count, index k = #blocks.
 
     Direct enumeration: every set partition is generated as a restricted
     growth string, then weighted by the k! orderings of its blocks.  No
-    Stirling numbers are involved.
+    Stirling numbers are involved.  A ``combinat.memo_rows`` memo, so that
+    F_n by enumeration and the block counts share one enumeration per n;
+    as BRUTEFORCE_CAP <= MEMO_ROWS, every count it builds is kept.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
     if n > BRUTEFORCE_CAP:
         raise ValueError(f"enumeration capped at n <= {BRUTEFORCE_CAP}, got {n}")
     partitions = [0] * (n + 1)
@@ -161,14 +162,14 @@ def fubini_split_eval(n: int, y: Scalar) -> Fraction:
     sum_k S2(n,k) k! y^k [2^(n+1) (y+1) y^k + (-1)^(k+1)] / (2y+1)^(k+1).
     """
     yv = _exact(y)
-    if yv == Fraction(-1, 2):
-        raise ValueError("split form is singular at y = -1/2")
     # With y = c/d and 2y+1 = e/d, term k over d^n e^(n+1) is
     # a_k c^k (de)^(n-k) [2^(n+1) (c+d) c^k + (-1)^(k+1) d^(k+1)], where
     # a_k = S2(n,k) k! is the coefficient of y^k in F_n; the sum runs as a
     # Horner scheme in de.
     c, d = yv.numerator, yv.denominator
     e = 2 * c + d
+    if e == 0:
+        raise ValueError("split form is singular at y = -1/2")
     de, lead = d * e, 2 ** (n + 1) * (c + d)
     total, c_k, tail = 0, 1, -d
     for a in fubini_poly(n).numerators:

@@ -502,7 +502,7 @@ def _eval_eq30_sym(p: dict) -> Check:
 
 def _eval_eq32(p: dict) -> Check:
     # The Stirling sum of the printed statement is the integral of F_n over
-    # [-1, 0]; ``bernoulli`` reads tangent numbers instead.
+    # [-1, 0]; ``bernoulli`` reads tangent numbers or zeta(n) instead.
     n = p["n"]
     return Check("eq", fp.fubini_poly(n).integrate(-1, 0), bn.bernoulli_recurrence(n))
 

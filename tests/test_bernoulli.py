@@ -1,5 +1,6 @@
 """Bernoulli and p-Bernoulli numbers with their integral identities."""
 
+import math
 from fractions import Fraction
 from math import factorial
 
@@ -13,7 +14,9 @@ from fubini.bernoulli_numbers import (
     bernoulli,
     bernoulli_binomial_sum,
     bernoulli_recurrence,
+    bernoulli_tangent,
     bernoulli_via_integral,
+    bernoulli_zeta,
     double_sum_identity,
     fubini_moment_integral,
     fubini_moment_parity,
@@ -120,10 +123,10 @@ class TestBernoulli:
         assert fubini_poly(0).integrate(-1, 0) == bernoulli(0)
 
 
-# An even-index B_n comes from a tangent number, and above MEMO_ROWS the
-# tangent triangle is extended from its last column; these orders make that
-# cursor step forward, restart from the stored columns, and jump back and
-# forth.
+# Above MEMO_ROWS an even-index B_n comes from zeta(n), built from the most
+# precise pi kept so far; the tangent triangle is extended from its last
+# column when the tangent route is read there.  These orders make the kept
+# pi grow step by step, serve smaller indices, and jump back and forth.
 HIGH_INDICES = [*range(MEMO_ROWS + 1, 201), 300, 301]
 INDEX_ORDERS = {
     "ascending": HIGH_INDICES,
@@ -136,6 +139,7 @@ class TestAboveTheMemo:
     @pytest.fixture
     def cold(self, monkeypatch, forget):
         monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+        monkeypatch.setattr(bernoulli_numbers, "_pi_kept", (0, 0))
         forget(bernoulli_numbers._tangent_column)
 
     def test_first_tangent_numbers(self, cold):
@@ -159,21 +163,93 @@ class TestAboveTheMemo:
         for n in (301, 300, MEMO_ROWS + 1, MEMO_ROWS + 2, 150, MEMO_ROWS, 41, 12, 7, 2, 1, 0):
             assert bernoulli(n) == oracle[n], n
 
+    def test_reads_no_tangent_column(self, cold, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an even index above MEMO_ROWS reads zeta(n)")
+
+        monkeypatch.setattr(bernoulli_numbers, "_tangent_column", forbidden)
+        oracle = bernoulli_akiyama_tanigawa(300)
+        for n in (300, MEMO_ROWS + 2, 150):
+            assert bernoulli(n) == oracle[n], n
+
     def test_values_are_cached(self, cold):
         assert bernoulli(300) is bernoulli(300)
         assert bernoulli(301) is bernoulli(301)
 
-    def test_last_column_is_kept(self, cold, monkeypatch):
+    def test_last_column_is_kept(self, cold):
         column = bernoulli_numbers._tangent_column
-        bernoulli(300)
+        bernoulli_tangent(300)
         assert len(column.terms) == MEMO_ROWS + 1
         assert {k: len(col) for k, col in column.cursor.items()} == {149: 150}
         # Below the cursor a read rolls on from the last stored column, not
-        # from column 1, so a wrong entry there shows in B_200.
+        # from column 1, so a wrong entry there shows in B_200.  The store
+        # is put back by ``forget`` when the test ends.
         last = column.terms[MEMO_ROWS]
-        monkeypatch.setitem(column.terms, MEMO_ROWS, [*last[:-1], last[-1] + 1])
-        assert bernoulli(200) != bernoulli_akiyama_tanigawa(200)[200]
+        column.terms[MEMO_ROWS] = [*last[:-1], last[-1] + 1]
+        assert bernoulli_tangent(200) != bernoulli_akiyama_tanigawa(200)[200]
         assert {k: len(col) for k, col in column.cursor.items()} == {99: 100}
+
+
+class TestZetaRoute:
+    def test_matches_the_tangent_route_and_akiyama_tanigawa(self, monkeypatch):
+        monkeypatch.setattr(bernoulli_numbers, "_pi_kept", (0, 0))
+        oracle = bernoulli_akiyama_tanigawa(400)
+        for n in range(4, 401, 2):
+            assert bernoulli_zeta(n) == bernoulli_tangent(n) == oracle[n], n
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_matches_the_tangent_route_at_larger_indices(self, n):
+        assert bernoulli_zeta(n) == bernoulli_tangent(n)
+
+    @pytest.mark.parametrize("n", [-2, 0, 2, 3, MEMO_ROWS + 1])
+    def test_takes_only_even_indices_from_four(self, n):
+        with pytest.raises(ValueError, match="even index n >= 4"):
+            bernoulli_zeta(n)
+
+    def test_a_denominator_short_of_a_prime_raises(self, monkeypatch):
+        # B_n D / p is no integer when p divides the denominator D of B_n.
+        exact = bernoulli_numbers._staudt_clausen_denominator
+
+        def short(n, primes):
+            return exact(n, primes) // max(p for p in primes if n % (p - 1) == 0)
+
+        monkeypatch.setattr(bernoulli_numbers, "_staudt_clausen_denominator", short)
+        for n in range(MEMO_ROWS + 2, 401, 2):
+            with pytest.raises(ArithmeticError, match=f"B_{n} lies outside"):
+                bernoulli_zeta(n)
+
+    def test_pi_short_of_40_bits_raises(self, monkeypatch):
+        exact = bernoulli_numbers._pi_fixed
+        monkeypatch.setattr(bernoulli_numbers, "_pi_fixed", lambda q: exact(q - 40) << 40)
+        for n in range(MEMO_ROWS + 2, 401, 2):
+            with pytest.raises(ArithmeticError, match=f"B_{n} lies outside"):
+                bernoulli_zeta(n)
+
+    def test_pi_within_its_bound(self, monkeypatch):
+        # math.pi is the double nearest pi, within 2^-52 of it.
+        monkeypatch.setattr(bernoulli_numbers, "_pi_kept", (0, 0))
+        assert abs(bernoulli_numbers._pi_fixed(52) - Fraction(math.pi) * 2**52) < 3
+        wide = bernoulli_numbers._pi_fixed(4000)
+        for q in (60, 1000, 3999):
+            monkeypatch.setattr(bernoulli_numbers, "_pi_kept", (0, 0))
+            assert abs(bernoulli_numbers._pi_fixed(q) - Fraction(wide, 2 ** (4000 - q))) < 3, q
+
+    def test_the_most_precise_pi_is_kept(self, monkeypatch):
+        monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+        monkeypatch.setattr(bernoulli_numbers, "_pi_kept", (0, 0))
+        bernoulli_zeta(400)
+        kept_bits, kept = bernoulli_numbers._pi_kept
+
+        def forbidden(*args):
+            raise AssertionError("pi is read from the kept value")
+
+        monkeypatch.setattr(bernoulli_numbers, "_chudnovsky_split", forbidden)
+        # A whole p-Bernoulli window above B_400 reads the kept pi, as do
+        # smaller indices, which leave it as it was.
+        assert p_bernoulli(400, 30) == p_bernoulli_ref(400, 30)
+        for n in (MEMO_ROWS + 2, 200):
+            bernoulli_zeta(n)
+        assert bernoulli_numbers._pi_kept == (kept_bits, kept)
 
 
 # Weighted sums whose windows end below, at and above MEMO_ROWS: the first

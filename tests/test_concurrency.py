@@ -6,7 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 from fubini import bernoulli_numbers
 from fubini.apostol import apostol_bernoulli
-from fubini.bernoulli_numbers import bernoulli, bernoulli_recurrence, p_bernoulli
+from fubini.bernoulli_numbers import (
+    bernoulli,
+    bernoulli_recurrence,
+    bernoulli_tangent,
+    p_bernoulli,
+)
 from fubini.combinat import MEMO_ROWS, stirling1_row, stirling2, stirling2_row
 from fubini.polynomials import fubini_poly, fubini_poly_recurrence, fubini_two_var
 
@@ -15,7 +20,8 @@ from oracles import p_bernoulli_ref
 # Indices above MEMO_ROWS.  The Stirling rows, the tangent-number columns and
 # both recurrences are rolled forward from one shared cursor each, so threads
 # asking for different indices move the cursors back and forth; a single
-# second-kind entry there is an explicit sum that builds no row.
+# second-kind entry there is an explicit sum that builds no row, and an even
+# B_n comes from zeta(n) and the most precise pi kept so far.
 HIGH = [MEMO_ROWS + 1 + 13 * i for i in range(4)]
 
 
@@ -40,6 +46,7 @@ def _read_all(seed: int) -> dict:
         "s1_high": stirling1_row(n),
         "s2_entries_high": [stirling2(n, k) for k in (0, 1, n // 2, n - 1, n)],
         "bern_high": bernoulli(n),
+        "tangent_high": bernoulli_tangent(n),
         "fub_high": fubini_poly_recurrence(n),
         "bern_rec_high": bernoulli_recurrence(n),
     }
@@ -50,6 +57,7 @@ def test_concurrent_readers_see_single_threaded_values(monkeypatch, forget):
     # The threads then build every Bernoulli number, every memoised F_n, the
     # Stirling rows and both recurrences again, racing each other.
     monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
+    monkeypatch.setattr(bernoulli_numbers, "_pi_kept", (0, 0))
     forget(
         stirling2_row,
         stirling1_row,
@@ -59,7 +67,7 @@ def test_concurrent_readers_see_single_threaded_values(monkeypatch, forget):
         fubini_poly_recurrence,
     )
     for seed, values in enumerate(expected):
-        assert values["bern_high"] == bernoulli_recurrence(HIGH[seed])
+        assert values["bern_high"] == values["tangent_high"] == bernoulli_recurrence(HIGH[seed])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, inside the row steps too
@@ -74,12 +82,13 @@ def test_concurrent_readers_see_single_threaded_values(monkeypatch, forget):
         assert all(map(operator.is_, result["stored"], results[0]["stored"])), seed
 
 
-def test_concurrent_high_bernoulli_numbers_are_computed_once(monkeypatch, forget):
-    # Even indices above the memo extend one tangent-number column; threads
-    # asking in opposite orders make it restart from the stored columns.
+def test_concurrent_high_bernoulli_numbers_are_computed_once(monkeypatch):
+    # Even indices above the memo come from zeta(n); threads asking in
+    # opposite orders race to build and replace the kept pi, and each must
+    # read one precise enough for its index.
     indices = [MEMO_ROWS + 1 + 9 * i for i in range(12)]  # odd and even
     monkeypatch.setattr(bernoulli_numbers, "_bernoulli_cache", {})
-    forget(bernoulli_numbers._tangent_column)
+    monkeypatch.setattr(bernoulli_numbers, "_pi_kept", (0, 0))
 
     def read(seed: int) -> list:
         order = indices if seed % 2 else indices[::-1]

@@ -103,12 +103,21 @@ class TestFubiniNumbers:
     def test_bruteforce_agrees(self, n):
         assert fubini_number_bruteforce(n) == FUBINI_NUMBERS[n]
 
-    def test_bruteforce_cap(self, monkeypatch):
+    def test_bruteforce_cap(self, monkeypatch, forget):
         with pytest.raises(ValueError):
             fubini_number_bruteforce(11)
-        # The cap is read at call time.
+        # The cap is read at call time; the count built under the raised cap
+        # leaves the memo with the test.
+        forget(ordered_partition_block_counts)
         monkeypatch.setattr(polynomials, "BRUTEFORCE_CAP", 11)
         assert fubini_number_bruteforce(11) == 1622632573
+
+    def test_one_enumeration_serves_both_readers(self, forget):
+        forget(ordered_partition_block_counts)
+        assert fubini_number_bruteforce(8) == FUBINI_NUMBERS[8]
+        counts = ordered_partition_block_counts.memo[8]
+        assert ordered_partition_block_counts(8) is counts
+        assert sorted(ordered_partition_block_counts.memo) == [8]
 
     @pytest.mark.parametrize("n", range(8))
     def test_block_counts_match_literal_generation(self, n):
@@ -244,8 +253,10 @@ class TestSplitForm:
         assert fubini_split_eval(2, Fraction(1)) == 3
 
     def test_singular_point_rejected(self):
-        with pytest.raises(ValueError):
-            fubini_split_eval(3, Fraction(-1, 2))
+        # Given as -1/2 or unreduced, with the sign on the denominator.
+        for y in (Fraction(-1, 2), Fraction(2, -4)):
+            with pytest.raises(ValueError, match="singular at y = -1/2"):
+                fubini_split_eval(3, y)
 
     def test_float_is_rejected(self):
         with pytest.raises(TypeError):
