@@ -30,7 +30,7 @@ from .bernoulli_numbers import (
     fubini_product_integral,
     fubini_product_integral_exact,
 )
-from .combinat import binomial, memo_rows
+from .combinat import binomial_convolution, memo_rows
 from .exact import Poly, RatFunc, Scalar, _exact, _poly, homogeneous_compose
 from .polynomials import fubini_poly
 
@@ -130,14 +130,8 @@ def apostol_sum_of_products(n: int, lam: Scalar) -> tuple[Fraction, Fraction]:
     if lv == 1:
         raise ValueError("functions have their pole at lambda = 1")
     values = [apostol_bernoulli(m)(lv) for m in range(n + 3)]
-    lhs = sum(
-        (
-            binomial(n, k) * values[k + 1] * values[n - k + 1]
-            / ((k + 1) * (n - k + 1))
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    scaled = [values[k + 1] / (k + 1) for k in range(n + 1)]
+    lhs = binomial_convolution(n, scaled, scaled)
     rhs = -(values[n + 2] / (n + 2) + values[n + 1] / (n + 1))
     return lhs, rhs
 

@@ -135,9 +135,9 @@ def cmd_table(args) -> int:
         (n_max,) = _require(args, "n_max")
         # An ascending table extends one column per index: the Fubini table
         # rolls one Stirling row per index through F_n(1), and the Bernoulli
-        # table one tangent column.  Above MEMO_ROWS, fubini_number's power
-        # sum would redo n powers and bernoulli's zeta route a whole Euler
-        # product at every index.
+        # table one tangent column.  fubini_number's power sum would redo
+        # n powers at every index, and above MEMO_ROWS bernoulli's zeta
+        # route a whole Euler product.
         value = bn.bernoulli_tangent if family == "bernoulli" else lambda n: fp.fubini_poly(n)(1)
         columns = ["n", "value"]
         rows = [[str(n), format_rational(value(n))] for n in range(n_max + 1)]

@@ -1,5 +1,9 @@
 """Stirling numbers of both kinds, binomials, and their matrix identities.
 
+``binomial_convolution`` is the one sum behind every product of
+exponential generating functions in the package; each caller passes its
+own two sequences.
+
 The memo policy of the package lives here, next to MEMO_ROWS, as two
 decorators that take the one lock ``_lock``: ``memo_rows`` stores a value
 built from n alone for n <= MEMO_ROWS, and ``rolled`` stores the terms of
@@ -98,6 +102,14 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
+def binomial_convolution(n: int, a, b):
+    """sum_{k=0}^{n} C(n,k) a[k] b[n-k], the t^n/n! coefficient of the
+    product of the EGFs of two sequences of at least n+1 terms."""
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    return sum(binomial(n, k) * a[k] * b[n - k] for k in range(n + 1))
+
+
 @rolled((1,))
 def stirling2_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Row n of the second-kind Stirling triangle, entries k = 0..n."""
@@ -165,8 +177,8 @@ def stirling_binomial_convolution(i: int, j: int) -> tuple[int, int]:
     """
     if i < 0 or j < 0:
         raise ValueError("indices must be non-negative")
-    lhs = sum(binomial(i, k) * stirling2(k, j) for k in range(i + 1))
-    return lhs, stirling2(i + 1, j + 1)
+    column = [stirling2(k, j) for k in range(i + 1)]
+    return binomial_convolution(i, column, (1,) * (i + 1)), stirling2(i + 1, j + 1)
 
 
 def stirling_inverse_sum(n: int, m: int) -> int:

@@ -12,9 +12,9 @@ here, in ``apostol`` and in ``bernoulli_numbers`` read S2(n,k) k! as its
 coefficients, except the power sum, which reads no Stirling number:
 ``fubini_two_var_eval`` sums F_n(x;y) = sum_i (x+i)^n W_i(y) in O(n)
 big-integer steps, while the BiPoly ``fubini_two_var`` keeps the
-convolution.  ``fubini_number`` reads that sum at (0, 1) above MEMO_ROWS
-and F_n(1) up to it; ``table fubini`` in the CLI reads F_n(1) at every
-index, since an ascending table rolls one Stirling row per index.
+convolution.  ``fubini_number`` reads that sum at (0, 1) at every index;
+``table fubini`` in the CLI reads F_n(1) at every index, since an
+ascending table rolls one Stirling row per index.
 
 F_n and F_n(x;y) are ``combinat.memo_rows`` memos and the derivative
 recurrence is a ``combinat.rolled`` sequence: each keeps its values up to
@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .combinat import MEMO_ROWS, binomial, memo_rows, rolled, stirling2_row
+from .combinat import binomial, memo_rows, rolled, stirling2_row
 from .exact import BiPoly, Poly, Scalar, _exact
 
 BRUTEFORCE_CAP = 10
@@ -53,14 +53,11 @@ def fubini_poly_recurrence(prev: Poly, n: int) -> Poly:
 
 
 def fubini_number(n: int) -> int:
-    """The n-th Fubini number F_n = F_n(1).
-
-    Up to MEMO_ROWS it is read from the memoised F_n; above, from the
-    power sum of ``fubini_two_var_eval`` at (0, 1), which builds no row.
-    """
-    if n > MEMO_ROWS:
-        return fubini_two_var_eval(n, 0, 1).numerator
-    return fubini_poly(n)(1).numerator
+    """The n-th Fubini number F_n = F_n(1), read at every n from the power
+    sum of ``fubini_two_var_eval`` at (0, 1), which builds no Stirling row
+    and reads no F_k; the catalog compares it with the F_n(1) of the
+    Stirling triangle."""
+    return fubini_two_var_eval(n, 0, 1).numerator
 
 
 @memo_rows

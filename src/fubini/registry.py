@@ -325,16 +325,16 @@ def _eval_eq4(p: dict) -> Check:
 
 def _eval_eq5(p: dict) -> Check:
     n = p["n"]
-    lhs = sum(cb.binomial(n, k) * fp.fubini_number(k) for k in range(n + 1))
-    return Check("eq", lhs, 2 * fp.fubini_number(n))
+    numbers = [fp.fubini_number(k) for k in range(n + 1)]
+    lhs = cb.binomial_convolution(n, numbers, (1,) * (n + 1))
+    return Check("eq", lhs, 2 * numbers[n])
 
 
 def _eval_eq6(p: dict) -> Check:
     n = p["n"]
-    lhs = 2 * sum(
-        cb.binomial(n, k) * (-1) ** k * fp.fubini_number(k) for k in range(n + 1)
-    )
-    return Check("eq", lhs, (-1) ** n * fp.fubini_number(n) + 1)
+    signed = [(-1) ** k * fp.fubini_number(k) for k in range(n + 1)]
+    lhs = 2 * cb.binomial_convolution(n, signed, (1,) * (n + 1))
+    return Check("eq", lhs, signed[n] + 1)
 
 
 def _eval_eq7(p: dict) -> Check:
@@ -358,30 +358,24 @@ def _eval_eq11(p: dict) -> Check:
 
 def _eval_eq12(p: dict) -> Check:
     n = p["n"]
-    lhs = 2 * sum(
-        cb.binomial(n, k) * fp.fubini_number(k) * fp.fubini_number(n - k)
-        for k in range(n + 1)
-    )
-    return Check("eq", lhs, fp.fubini_number(n + 1) + fp.fubini_number(n))
+    numbers = [fp.fubini_number(k) for k in range(n + 2)]
+    lhs = 2 * cb.binomial_convolution(n, numbers, numbers)
+    return Check("eq", lhs, numbers[n + 1] + numbers[n])
 
 
 def _eval_eq13(p: dict) -> Check:
     n = p["n"]
-    conv = Poly.zero()
-    for k in range(n + 1):
-        conv = conv + cb.binomial(n, k) * (fp.fubini_poly(k) * fp.fubini_poly(n - k))
-    lhs = Poly([1, 1]) * conv
-    rhs = fp.fubini_poly(n + 1) + fp.fubini_poly(n)
-    return Check("eq", lhs, rhs)
+    polys = [fp.fubini_poly(k) for k in range(n + 2)]
+    lhs = Poly([1, 1]) * cb.binomial_convolution(n, polys, polys)
+    return Check("eq", lhs, polys[n + 1] + polys[n])
 
 
 def _eval_eq13_general(p: dict) -> Check:
     n, x1, x2, y = p["n"], p["x1"], p["x2"], p["y"]
-    lhs = y * sum(
-        cb.binomial(n, k)
-        * fp.fubini_two_var_eval(k, x1, y)
-        * fp.fubini_two_var_eval(n - k, x2, y)
-        for k in range(n + 1)
+    lhs = y * cb.binomial_convolution(
+        n,
+        [fp.fubini_two_var_eval(k, x1, y) for k in range(n + 1)],
+        [fp.fubini_two_var_eval(k, x2, y) for k in range(n + 1)],
     )
     s = x1 + x2 - 1
     # The BiPoly route, so that the two sides share no formula.
@@ -415,11 +409,10 @@ def _eval_eq15_neg2(p: dict) -> Check:
 
 def _eval_eq17(p: dict) -> Check:
     n = p["n"]
-    lhs = sum(
-        cb.binomial(n, k) * (-1) ** k * fp.fubini_number(k) * fp.fubini_number(n - k)
-        for k in range(n + 1)
-    )
-    rhs = Fraction(0) if n % 2 == 1 else Fraction(4, 3) * fp.fubini_number(n)
+    numbers = [fp.fubini_number(k) for k in range(n + 1)]
+    signed = [(-1) ** k * f for k, f in enumerate(numbers)]
+    lhs = cb.binomial_convolution(n, signed, numbers)
+    rhs = Fraction(0) if n % 2 == 1 else Fraction(4, 3) * numbers[n]
     return Check("eq", Fraction(lhs), rhs)
 
 
@@ -449,22 +442,19 @@ def _eval_eq23(p: dict) -> Check:
     n, y1, y2 = p["n"], p["y1"], p["y2"]
     if y1 == y2:
         return Check.skip()
-    f_n = fp.fubini_poly(n)
-    lhs = sum(
-        cb.binomial(n, k) * fp.fubini_poly(k)(y1) * fp.fubini_poly(n - k)(y2)
-        for k in range(n + 1)
-    )
+    polys = [fp.fubini_poly(k) for k in range(n + 1)]
+    lhs = cb.binomial_convolution(n, [f(y1) for f in polys], [f(y2) for f in polys])
+    f_n = polys[n]
     rhs = (y2 * f_n(y2) - y1 * f_n(y1)) / (y2 - y1)
     return Check("eq", lhs, rhs)
 
 
 def _eval_eq23_xy(p: dict) -> Check:
     n, x1, x2, y1, y2 = p["n"], p["x1"], p["x2"], p["y1"], p["y2"]
-    lhs = sum(
-        cb.binomial(n, k)
-        * fp.fubini_two_var_eval(k, x1, y1)
-        * fp.fubini_two_var_eval(n - k, x2, y2)
-        for k in range(n + 1)
+    lhs = cb.binomial_convolution(
+        n,
+        [fp.fubini_two_var_eval(k, x1, y1) for k in range(n + 1)],
+        [fp.fubini_two_var_eval(k, x2, y2) for k in range(n + 1)],
     )
     s = x1 + x2
     rhs = (
@@ -1067,8 +1057,9 @@ def verify(
     ``lhs`` and ``rhs`` only when they are read.
 
     Raises ValueError when an override names a bound the entry does not
-    read, or when the bounds select no case, so that a run can never pass
-    without checking anything.
+    read, when the bounds select no case, or when every case they select
+    is skipped by a precondition, so that a run can never pass without
+    checking anything.
     """
     if identity_id not in REGISTRY:
         raise KeyError(identity_id)
@@ -1088,6 +1079,8 @@ def verify(
         status = run_check(check)
         elapsed_us = (time.perf_counter_ns() - start) // 1000
         reports.append(IdentityReport(identity_id, params, status, check, elapsed_us))
+    if all(r.status == SKIP for r in reports):
+        raise ValueError(f"the bounds select only skipped cases of {identity_id}")
     return reports
 
 

@@ -425,6 +425,22 @@ class TestVerifyCommands:
         assert out == ""
         assert "samples must be between 1 and 25" in err
 
+    # lambda = 1 is the first sample point and -1 the second; ab_split skips
+    # both and ab_sum_products the first, so these runs check nothing.
+    @pytest.mark.parametrize(
+        "identity, samples", [("ab_split", "2"), ("ab_sum_products", "1")]
+    )
+    def test_run_of_only_skipped_cases_is_usage_error(self, identity, samples):
+        code, out, err = run_cli("verify", identity, "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert f"the bounds select only skipped cases of {identity}" in err
+
+    def test_one_checked_case_is_enough(self):
+        code, out, _ = run_cli("verify", "ab_split", "--samples", "3")
+        assert code == 0
+        assert "0 failed" in out
+
     @pytest.mark.parametrize(
         "identity, flag", [("eq26_integral", "--k-max"), ("eq33_lemma2", "--samples")]
     )

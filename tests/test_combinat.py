@@ -1,6 +1,7 @@
 """Stirling triangles, binomials and the convolution identities."""
 
 import math
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -12,6 +13,7 @@ from fubini.combinat import (
     MEMO_ROWS,
     alternating_stirling_convolution,
     binomial,
+    binomial_convolution,
     rolled,
     stirling1_row,
     stirling1_signed,
@@ -21,6 +23,7 @@ from fubini.combinat import (
     stirling_binomial_convolution,
     stirling_inverse_sum,
 )
+from fubini.exact import Poly
 
 from oracles import (
     count_partitions_by_blocks,
@@ -91,6 +94,33 @@ class TestBinomial:
 
 
 class TestConvolutions:
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([k * k - 3 for k in range(13)], [(-2) ** k for k in range(13)]),
+            (
+                [Fraction(k + 1, 2 * k + 3) for k in range(13)],
+                [Fraction(-k, 7) for k in range(13)],
+            ),
+            (
+                [Poly([k, 1, -k]) for k in range(13)],
+                [Poly([Fraction(1, k + 1), 0, 2]) for k in range(13)],
+            ),
+        ],
+        ids=["int", "Fraction", "Poly"],
+    )
+    def test_binomial_convolution_is_the_direct_sum(self, n, a, b):
+        direct = a[0] * b[n]
+        for k in range(1, n + 1):
+            direct = direct + math.comb(n, k) * a[k] * b[n - k]
+        assert binomial_convolution(n, a, b) == direct
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_binomial_convolution_rejects_a_negative_index(self, n):
+        with pytest.raises(ValueError, match="index must be non-negative"):
+            binomial_convolution(n, [1, 2], [3, 4])
+
     def test_alternating_convolution_examples(self):
         assert alternating_stirling_convolution(0, 0) == 1
         assert alternating_stirling_convolution(2, 0) == 1

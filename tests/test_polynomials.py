@@ -99,6 +99,17 @@ class TestFubiniNumbers:
         for n in range(MEMO_ROWS, 151):
             assert fubini_number(n) == fubini_poly(n)(1).numerator, n
 
+    def test_reads_no_stirling_row_at_any_index(self, monkeypatch, forget):
+        # One route at every index: the power sum, not F_n(1) of the memo.
+        expected = [fubini_poly(n)(1).numerator for n in range(71)]
+        forget(fubini_poly)
+
+        def refuse(n):
+            raise AssertionError("fubini_number read a Stirling row")
+
+        monkeypatch.setattr(polynomials, "stirling2_row", refuse)
+        assert [fubini_number(n) for n in range(71)] == expected
+
     @pytest.mark.parametrize("n", range(11))
     def test_bruteforce_agrees(self, n):
         assert fubini_number_bruteforce(n) == FUBINI_NUMBERS[n]

@@ -177,6 +177,11 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"{bound} does not apply to {identity}"):
             rg.verify(identity, overrides={bound: 3})
 
+    @pytest.mark.parametrize("identity, samples", [("ab_split", 2), ("ab_sum_products", 1)])
+    def test_only_skipped_cases_are_rejected(self, identity, samples):
+        with pytest.raises(ValueError, match="only skipped cases"):
+            rg.verify(identity, overrides={"samples": samples})
+
     def test_overrides_beyond_enumeration_cap_skip(self):
         reports = rg.verify("eq14_enumeration", overrides={"n_max": 12, "aux_max": 0})
         statuses = {r.params["n"]: r.status for r in reports if "blocks" not in r.params}
@@ -272,6 +277,26 @@ class TestStirlingFaults:
             f"{rg.FAIL:<21} eq26_integral n=7  lhs=-3/2 rhs=0",
             f"{rg.FAIL:<21} eq26_integral n=8  lhs=-23/15 rhs=-1/30",
         ]
+
+
+class TestPowerSumFaults:
+    def test_wrong_power_sum_at_n_7_fails_every_fubini_number_reader(self, monkeypatch):
+        # fubini_number reads the power sum at (0, 1) at every index, so a
+        # wrong F_7 there fails each entry that reads a Fubini number, and
+        # no entry that reads the power sum at other points only.
+        real = fubini.polynomials.fubini_two_var_eval
+
+        def wrong(n, x, y):
+            value = real(n, x, y)
+            return value + 1 if (n, x, y) == (7, 0, 1) else value
+
+        monkeypatch.setattr(fubini.polynomials, "fubini_two_var_eval", wrong)
+        run = rg.verify_all("full")
+        assert {r.identity for r in run.reports if r.status == rg.FAIL} == {
+            "eq1_series", "eq5_binomial", "eq6_alt_binomial", "eq12_products_numbers",
+            "eq14_enumeration", "eq15_special_values", "eq17_alt_products",
+            "eq85_number_split", "eq86_number_split_neg2",
+        }
 
 
 class TestBernoulliFaults:
