@@ -12,8 +12,11 @@ rather than patched).  The improper integrals over (-inf, 0] reduce
 exactly to the finite Fubini integrals over [-1, 0] via the substitution
 y = lambda/(1-lambda), so both of their routes are the Fubini integrals
 of ``bernoulli_numbers`` times a constant; a numerical quadrature oracle
-cross-checks them independently.  Each route reads S2(n,k) k! as the
-coefficients of ``fubini_poly``.  ``apostol_bernoulli`` is a
+cross-checks them independently.  The direct sum and the alternating
+form read S2(n,k) k! as the coefficients of ``fubini_poly``; the
+substitution reads F_{n-1} from the derivative recurrence
+``fubini_poly_recurrence``, so that the two routes ``ab_routes``
+compares share no Stirling row.  ``apostol_bernoulli`` is a
 ``combinat.memo_rows`` memo: indices up to MEMO_ROWS are kept, a larger
 one is built on each call.
 """
@@ -32,7 +35,7 @@ from .bernoulli_numbers import (
 )
 from .combinat import binomial_convolution, memo_rows
 from .exact import Poly, RatFunc, Scalar, _exact, _poly, homogeneous_compose
-from .polynomials import fubini_poly
+from .polynomials import fubini_poly, fubini_poly_recurrence
 
 _MINUS_LAMBDA = Poly([0, -1])
 _LAMBDA_MINUS_1 = Poly([-1, 1])
@@ -62,12 +65,14 @@ def apostol_via_fubini(n: int) -> RatFunc:
     """Index-n function by substituting lambda/(1-lambda) into F_{n-1}.
 
     Requires n >= 1; agrees with apostol_bernoulli(n) as canonical forms.
-    F_{n-1} has degree n-1, so F_{n-1}(-lambda/(lambda-1)) is its
-    homogenised substitution over (lambda-1)^(n-1).
+    F_{n-1} comes from the derivative recurrence, not from the Stirling
+    triangle that apostol_bernoulli reads.  It has degree n-1, so
+    F_{n-1}(-lambda/(lambda-1)) is its homogenised substitution over
+    (lambda-1)^(n-1).
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    composed = homogeneous_compose(fubini_poly(n - 1), _MINUS_LAMBDA, _LAMBDA_MINUS_1)
+    composed = homogeneous_compose(fubini_poly_recurrence(n - 1), _MINUS_LAMBDA, _LAMBDA_MINUS_1)
     return RatFunc(n * composed, order=n)
 
 

@@ -22,9 +22,13 @@ all numerators is 1, and the zero polynomial is stored as ``((), 1)``.
 Most polynomials here have integer coefficients, so the denominator is
 usually 1 and every operation (sums, products, powers, composition,
 substitution, Horner evaluation at p/q, integration) runs on Python
-integers, with one gcd at the end to restore the canonical form.  The
-``coeffs`` and ``rows`` properties give the coefficients as ``Fraction``.
-Equality of canonical forms is plain structural comparison.
+integers, with one gcd at the end to restore the canonical form.
+``BiPoly`` runs on the same integer-list helpers as ``Poly``: its
+canonical form is that of the flattened grid, a sum adds rows, a product
+sums the products of row pairs, and evaluation is Horner's rule along
+rows or columns.  One term renderer writes both as text.  The ``coeffs``
+and ``rows`` properties give the coefficients as ``Fraction``.  Equality
+of canonical forms is plain structural comparison.
 
 All values are immutable after construction and all operations are
 pure, so everything here is safe to share between threads.
@@ -36,7 +40,7 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -369,25 +373,26 @@ class Poly:
 
 def poly_str(p: Poly, var: str) -> str:
     """Human-readable rendering, highest power first, e.g. ``2y^2 + y``."""
-    if p.is_zero():
-        return "0"
+    nums = p.numerators
+    terms = ((nums[k], _power(var, k)) for k in range(len(nums) - 1, -1, -1) if nums[k])
+    return _terms_str(terms, p.denominator)
+
+
+def _power(var: str, k: int) -> str:
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+
+def _terms_str(terms: Iterable[tuple[int, str]], den: int) -> str:
+    """Join nonzero ``(numerator, monomial)`` terms over ``den``, e.g. ``2y^2 - 1/2``."""
     parts: list[str] = []
-    for power in range(p.degree, -1, -1):
-        c = p.coefficient(power)
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if power == 0:
-            body = format_rational(mag)
+    for c, monomial in terms:
+        mag = abs(c) if den == 1 else Fraction(abs(c), den)
+        body = monomial if mag == 1 and monomial else format_rational(mag) + monomial
+        if parts:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
         else:
-            head = "" if mag == 1 else format_rational(mag)
-            body = f"{head}{var}" if power == 1 else f"{head}{var}^{power}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+            parts.append(f"-{body}" if c < 0 else body)
+    return "".join(parts) or "0"
 
 
 def homogeneous_compose(p: Poly, num: Poly, den: Poly) -> Poly:
@@ -416,21 +421,14 @@ def homogeneous_compose(p: Poly, num: Poly, den: Poly) -> Poly:
 
 def _bipoly(grid: list[list[int]], den: int = 1) -> "BiPoly":
     """BiPoly of a grid of integer numerators over a nonzero ``den``, canonicalised."""
-    while grid and not any(grid[-1]):
-        grid.pop()
-    if not grid:
+    widths = [len(_trimmed(row)) for row in grid]
+    height = len(_trimmed(widths))
+    if not height:
         return _raw_bipoly((), 1)
-    width = max(len(_trimmed(row)) for row in grid)
-    grid = [row[:width] + [0] * (width - len(row)) for row in grid]
-    if den < 0:
-        den = -den
-        grid = [[-c for c in row] for row in grid]
-    if den != 1:
-        g = math.gcd(den, *(c for row in grid for c in row))
-        if g != 1:
-            den //= g
-            grid = [[c // g for c in row] for row in grid]
-    return _raw_bipoly(tuple(tuple(row) for row in grid), den)
+    width = max(widths)
+    flat = [c for row in grid[:height] for c in row[:width] + [0] * (width - len(row))]
+    flat, den = _reduced(flat, den)
+    return _raw_bipoly(tuple(tuple(flat[i : i + width]) for i in range(0, len(flat), width)), den)
 
 
 def _raw_bipoly(grid: tuple[tuple[int, ...], ...], den: int) -> "BiPoly":
@@ -519,16 +517,15 @@ class BiPoly:
     def __add__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
             return NotImplemented
-        da, db = self.denominator, other.denominator
-        g = math.gcd(da, db)
-        nr = max(len(self.numerators), len(other.numerators))
-        nc = max(self.y_degree, other.y_degree) + 1
-        out = [[0] * nc for _ in range(nr)]
-        for grid, factor in ((self.numerators, db // g), (other.numerators, da // g)):
-            for out_row, row in zip(out, grid):
-                for j, c in enumerate(row):
-                    out_row[j] += factor * c
-        return _bipoly(out, da // g * db)
+        a, da = self.numerators, self.denominator
+        b, db = other.numerators, other.denominator
+        if da != db:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            a = [[fa * c for c in row] for row in a]
+            b = [[fb * c for c in row] for row in b]
+            da *= fa
+        return _bipoly([_add(r, s) for r, s in zip_longest(a, b, fillvalue=())], da)
 
     def __sub__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
@@ -542,37 +539,18 @@ class BiPoly:
             return _bipoly(grid, self.denominator * other.denominator)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return BiPoly()
-        nr = len(self.numerators) + len(other.numerators) - 1
-        nc = self.y_degree + other.y_degree + 1
-        out = [[0] * nc for _ in range(nr)]
-        for i, row in enumerate(self.numerators):
-            for j, a in enumerate(row):
-                if a:
-                    for k, orow in enumerate(other.numerators):
-                        target = out[i + k]
-                        for l, b in enumerate(orow):
-                            if b:
-                                target[j + l] += a * b
+        a, b = self.numerators, other.numerators
+        out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+        for i, row in enumerate(a):
+            for k, orow in enumerate(b):
+                out[i + k] = _add(out[i + k], _mul(row, orow))
         return _bipoly(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __call__(self, x: Scalar, y: Scalar) -> Fraction:
-        """Exact value at a rational point (x, y) = (p/q, r/s).
-
-        Each row is evaluated at y over s^dy, then the row values at x
-        over q^dx, all in the integers; one division at the end.
-        """
-        xv, yv = _exact(x), _exact(y)
-        if not self.numerators:
-            return Fraction(0)
-        r, s = yv.numerator, yv.denominator
-        row_values = [_horner(row, r, s)[0] for row in self.numerators]
-        y_scale = s**self.y_degree
-        total, x_scale = _horner(row_values, xv.numerator, xv.denominator)
-        return Fraction(total, self.denominator * x_scale * y_scale)
+        """Exact value at a rational point: fix y, then evaluate at x."""
+        return self.substitute_y(y)(x)
 
     def substitute_x(self, x: Scalar) -> Poly:
         """Fix x at a rational value, leaving a polynomial in y."""
@@ -581,12 +559,8 @@ class BiPoly:
         if not grid:
             return Poly()
         p, q = xv.numerator, xv.denominator
-        acc = list(grid[-1])
-        scale = 1
-        for i in range(len(grid) - 2, -1, -1):
-            scale *= q
-            acc = [a * p + c * scale for a, c in zip(acc, grid[i])]
-        return _poly(acc, self.denominator * scale)
+        values = [_horner(column, p, q)[0] for column in zip(*grid)]
+        return _poly(values, self.denominator * q**self.x_degree)
 
     def substitute_y(self, y: Scalar) -> Poly:
         """Fix y at a rational value, leaving a polynomial in x."""
@@ -633,27 +607,13 @@ class BiPoly:
         return f"BiPoly({self.to_strings()})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.numerators)):
-            for j in range(len(self.numerators[i])):
-                c = self.coefficient(i, j)
-                if c == 0:
-                    continue
-                factors = []
-                if abs(c) != 1 or (i == 0 and j == 0):
-                    factors.append(format_rational(abs(c)))
-                if i:
-                    factors.append("x" if i == 1 else f"x^{i}")
-                if j:
-                    factors.append("y" if j == 1 else f"y^{j}")
-                term = "".join(factors) if factors else "1"
-                if not parts:
-                    parts.append(term if c > 0 else f"-{term}")
-                else:
-                    parts.append(f" + {term}" if c > 0 else f" - {term}")
-        return "".join(parts)
+        terms = (
+            (c, _power("x", i) + _power("y", j))
+            for i, row in enumerate(self.numerators)
+            for j, c in enumerate(row)
+            if c
+        )
+        return _terms_str(terms, self.denominator)
 
 
 def _divide_by_x_minus_1(nums: Sequence[int], limit: int) -> tuple[Sequence[int], int]:

@@ -6,10 +6,14 @@ builds the family by several independent routes (triangle sum, derivative
 recurrence, reflection form, split form, power sum) plus the two-variable
 extension F_n(x;y) = sum_k C(n,k) * F_k(y) * x^(n-k).  Route agreement is
 what the identity catalog checks; each route is kept self-contained here.
+The reflection form and the cleared split form are substitutions into
+the signed coefficients of F_n through ``Poly.compose`` and
+``homogeneous_compose``, so neither builds powers of (y+1) or (2y+1).
 
 Only ``fubini_poly`` multiplies a Stirling row by k!; the other routes
 here, in ``apostol`` and in ``bernoulli_numbers`` read S2(n,k) k! as its
-coefficients, except the power sum, which reads no Stirling number:
+coefficients, except two that read no Stirling number: the derivative
+recurrence, which ``apostol_via_fubini`` reads, and the power sum:
 ``fubini_two_var_eval`` sums F_n(x;y) = sum_i (x+i)^n W_i(y) in O(n)
 big-integer steps, while the BiPoly ``fubini_two_var`` keeps the
 convolution.  ``fubini_number`` reads that sum at (0, 1) at every index;
@@ -31,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 
 from .combinat import binomial, memo_rows, rolled, stirling2_row
-from .exact import BiPoly, Poly, Scalar, _exact
+from .exact import BiPoly, Poly, Scalar, _exact, homogeneous_compose
 
 BRUTEFORCE_CAP = 10
 
@@ -143,14 +147,8 @@ def fubini_reflection_form(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("reflection form requires n >= 1")
-    one_plus_y = Poly([1, 1])
-    coeffs = fubini_poly(n).numerators
-    total = Poly.zero()
-    power = Poly.constant(1)
-    for k in range(1, n + 1):
-        total = total + (coeffs[k] * (-1) ** (n + k)) * power
-        power = power * one_plus_y
-    return Poly.variable() * total
+    signed = [(-1) ** (n + k) * a for k, a in enumerate(fubini_poly(n).numerators)]
+    return Poly.variable() * Poly(signed[1:]).compose(Poly([1, 1]))
 
 
 def fubini_split_eval(n: int, y: Scalar) -> Fraction:
@@ -185,17 +183,13 @@ def fubini_split_collapse(n: int) -> tuple[Poly, Poly]:
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    y = Poly.variable()
     two_y_plus_1 = Poly([1, 2])
     poly = fubini_poly(n)
     lhs = poly * two_y_plus_1 ** (n + 1)
-    rhs = Poly.zero()
-    for k, a in enumerate(poly.numerators):
-        if a == 0:
-            continue
-        bracket = (2 ** (n + 1)) * Poly([1, 1]) * y**k + Poly.constant((-1) ** (k + 1))
-        rhs = rhs + a * y**k * bracket * two_y_plus_1 ** (n - k)
-    return lhs, rhs
+    # sum_k a_k y^k [2^(n+1) (y+1) y^k - (-1)^k] (2y+1)^(n-k), split in two.
+    squares = homogeneous_compose(poly, Poly.monomial(2), two_y_plus_1)
+    alternating = homogeneous_compose(poly, Poly([0, -1]), two_y_plus_1)
+    return lhs, 2 ** (n + 1) * Poly([1, 1]) * squares - alternating
 
 
 def fubini_number_split_sum(n: int) -> Fraction:

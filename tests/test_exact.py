@@ -191,6 +191,18 @@ class TestBiPoly:
         b = BiPoly([[0, 3], [1, 0], [5]])
         assert (a * b)(x, y) == a(x, y) * b(x, y)
 
+    def test_str_signs_fractions_and_unit_coefficients(self):
+        # BiPoly and poly_str share one term renderer; these pin it on
+        # negative, fractional and unit coefficients, lowest power first
+        # for BiPoly and highest first for poly_str.
+        assert str(BiPoly([[1, -1], [Fraction(-1, 2)], [0, 0, 3]])) == "1 - y - 1/2x + 3x^2y^2"
+        assert str(BiPoly([[0, 1], [-1]])) == "y - x"
+        assert str(BiPoly([[-1]])) == "-1"
+        assert str(BiPoly([[0, 0], [0, Fraction(2, 3)]])) == "2/3xy"
+        assert str(BiPoly()) == "0"
+        assert poly_str(Poly([Fraction(-1, 2), -1, 0, 1]), "y") == "y^3 - y - 1/2"
+        assert poly_str(Poly([0, 0, -1]), "y") == "-y^2"
+
 
 def assert_canonical_poly(p):
     nums, den = p.numerators, p.denominator

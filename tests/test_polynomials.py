@@ -246,7 +246,7 @@ class TestReflectionForm:
         with pytest.raises(ValueError):
             fubini_reflection_form(0)
 
-    @pytest.mark.parametrize("n", range(1, 26))
+    @pytest.mark.parametrize("n", [*range(1, 26), 65, 80])
     def test_agrees_with_triangle_route(self, n):
         assert fubini_reflection_form(n) == fubini_poly(n)
 
@@ -292,7 +292,7 @@ class TestSplitForm:
         else:
             assert fubini_split_eval(n, y) == fubini_split_eval_ref(n, y)
 
-    @pytest.mark.parametrize("n", range(11))
+    @pytest.mark.parametrize("n", [*range(11), 65, 80])
     def test_symbolic_collapse(self, n):
         lhs, rhs = fubini_split_collapse(n)
         assert lhs == rhs

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fubini.apostol
 import fubini.bernoulli_numbers
 import fubini.combinat
 import fubini.polynomials
@@ -297,6 +298,21 @@ class TestPowerSumFaults:
             "eq14_enumeration", "eq15_special_values", "eq17_alt_products",
             "eq85_number_split", "eq86_number_split_neg2",
         }
+
+
+class TestFubiniPolyFaults:
+    def test_wrong_memo_entry_fails_ab_routes_at_n_8(self, forget):
+        # apostol_bernoulli reads F_7 from the fubini_poly memo and
+        # apostol_via_fubini from the derivative recurrence, so the two
+        # routes disagree exactly at index 8.  forget puts both memos back
+        # when the test ends.
+        fubini_poly = fubini.polynomials.fubini_poly
+        forget(fubini_poly, fubini.apostol.apostol_bernoulli)
+        nums = list(fubini_poly(7).numerators)
+        nums[3] += 1
+        fubini_poly.memo[7] = Poly(nums)
+        reports = rg.verify("ab_routes")
+        assert [r.params for r in reports if r.status == rg.FAIL] == [{"n": 8}]
 
 
 class TestBernoulliFaults:
